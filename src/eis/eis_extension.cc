@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -11,6 +12,7 @@
 #include "common/bits.h"
 #include "eis/networks.h"
 #include "isa/registers.h"
+#include "obs/metrics/metrics.h"
 #include "sim/cpu.h"
 
 namespace dba::eis {
@@ -83,18 +85,23 @@ class BatchCtx {
   mem::Memory* last_ = nullptr;
 };
 
-/// True when the loop body is the fused set-operation steady state of
-/// Figure 11: unroll x [STORE_SOP(flag), LD_LDP_SHUFFLE] with one flag
-/// register, closed by a conditional branch on that flag. Returns the
-/// flag register index via *flag_index.
-bool MatchSetOpLoopShape(const sim::TieLoop& loop, int* flag_index) {
+/// True when the loop body is a fused steady state: unroll x
+/// [STORE_SOP(flag), load word] with one flag register, closed by a
+/// conditional branch on that flag. The load word is LD_LDP_SHUFFLE for
+/// the set operations (Figure 11) and LD_MERGE, which writes the same
+/// flag, for the merge-sort loop (Figure 12). Returns the flag register
+/// index via *flag_index.
+bool MatchSteadyLoopShape(const sim::TieLoop& loop, uint16_t load_op,
+                          int* flag_index) {
   const size_t body_len = loop.body.size();
   if (body_len < 2 || body_len % 2 != 0) return false;
   const int flag = loop.body[0].operand & 0xF;
   for (size_t k = 0; k < body_len; k += 2) {
     if (loop.body[k].ext_id != op::kStoreSop ||
         (loop.body[k].operand & 0xF) != flag ||
-        loop.body[k + 1].ext_id != op::kLdLdpShuffle) {
+        loop.body[k + 1].ext_id != load_op ||
+        (load_op == op::kLdMerge &&
+         (loop.body[k + 1].operand & 0xF) != flag)) {
       return false;
     }
   }
@@ -152,24 +159,31 @@ inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
     const bool eq = va == vb;
     const bool ale = va <= vb;
     const bool ble = vb <= va;
-    bool want_emit;
+    int want;  // Result slots this step fills
     uint32_t value;
     if constexpr (kMode == SopMode::kIntersect) {
-      want_emit = eq;
+      want = eq ? 1 : 0;
       value = va;
     } else if constexpr (kMode == SopMode::kUnion) {
-      want_emit = true;
+      want = 1;
       value = ale ? va : vb;
-    } else {
-      want_emit = ale && !eq;
+    } else if constexpr (kMode == SopMode::kDifference) {
+      want = ale && !eq ? 1 : 0;
       value = va;
+    } else {
+      // Merge keeps both copies of a matched pair: two Result slots.
+      want = eq ? 2 : 1;
+      value = ale ? va : vb;
     }
-    if (want_emit && out.emit_count == 4) {
+    if (out.emit_count + want > 4) {
       truncated = true;
       break;
     }
     out.emit[out.emit_count] = value;
-    out.emit_count += want_emit ? 1 : 0;
+    if constexpr (kMode == SopMode::kMerge) {
+      out.emit[out.emit_count + 1] = value;
+    }
+    out.emit_count += want;
     out.matches += eq ? 1 : 0;
     i += ale ? 1 : 0;
     j += ble ? 1 : 0;
@@ -183,7 +197,7 @@ inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
         while (i < limit_a && out.emit_count < 4) out.emit[out.emit_count++] = pa[i++];
       }
     } else if (j < limit_b) {
-      if constexpr (kMode == SopMode::kUnion) {
+      if constexpr (kMode == SopMode::kUnion || kMode == SopMode::kMerge) {
         while (j < limit_b && out.emit_count < 4) out.emit[out.emit_count++] = pb[j++];
       } else {
         j = limit_b;  // consumed without emission
@@ -340,6 +354,23 @@ inline bool SimdIntersectAvailable() {
 }
 
 #endif  // defined(__x86_64__)
+
+// TIE-loop entries (RunTieLoop calls) by the engine that ran them. A
+// stepper that quietly declined would leave every modeled number as it
+// was; this counter is where that shows. Registry lookups happen once;
+// each entry costs one relaxed add.
+enum class LoopEngine { kSetOpStepper, kMergeStepper, kPerWord };
+
+obs::Counter* TieLoopCounter(LoopEngine engine) {
+  static constexpr auto lookup = [](std::string_view label) {
+    return obs::MetricsRegistry::Global().GetCounter(
+        "dba_eis_tie_loops_total", "engine", label,
+        "EIS TIE-loop entries by the engine that ran them.");
+  };
+  static obs::Counter* const counters[] = {
+      lookup("setop_stepper"), lookup("merge_stepper"), lookup("per_word")};
+  return counters[static_cast<int>(engine)];
+}
 
 bool EvalBranch(const isa::Instruction& branch, uint32_t rs1, uint32_t rs2) {
   switch (branch.opcode) {
@@ -707,15 +738,19 @@ bool EisExtension::MatchesTieLoop(const sim::TieLoop& loop) const {
 EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     const sim::TieLoop& loop, sim::Cpu& cpu, bool exact, uint64_t max_cycles,
     uint64_t iter_margin, SteadyMirrors& m) {
+  const SopMode sop_mode = mode();
+  const bool merge = sop_mode == SopMode::kMerge;
   int flag_index = 0;
-  if (mode() == SopMode::kMerge || !MatchSetOpLoopShape(loop, &flag_index)) {
+  if (!MatchSteadyLoopShape(loop, merge ? op::kLdMerge : op::kLdLdpShuffle,
+                            &flag_index)) {
     return SteadyOutcome::kDeclined;
   }
   const Reg flag_reg = isa::RegFromIndex(flag_index);
-  const SopMode sop_mode = mode();
-  const bool partial = partial_loading();
+  const bool partial = partial_loading() || merge;  // as in LdP
   const int num_lsus = cpu.config().num_lsus;
-  const int lsu_b = num_lsus >= 2 ? 1 : 0;  // LoadLsu(1) / StoreLsu() folded
+  // LoadLsu(1) and StoreLsu() folded onto the configured ports; merge
+  // mode runs every beat and pack on LSU0.
+  const int lsu_b = !merge && num_lsus >= 2 ? 1 : 0;
   const uint32_t penalty = cpu.config().branch_mispredict_penalty;
   const size_t unroll = loop.body.size() / 2;
 #if defined(__x86_64__)
@@ -753,26 +788,37 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     c->words = raw.size() / 4;
     c->pos = static_cast<size_t>((s.ptr - c->base) / 4);
     const size_t buffered = static_cast<size_t>(c->win + c->fifo);
-    if (c->pos > c->words || c->pos < buffered) return false;
-    c->consumed = c->pos - buffered;
+    if (c->pos > c->words) return false;
     // The cursor model only holds if the buffered elements really are
-    // the stream slice just behind ptr (they are, unless a short tail
-    // beat already ran); verify and decline otherwise.
-    for (int i = 0; i < c->win; ++i) {
-      if (c->data[c->consumed + static_cast<size_t>(i)] !=
-          s.window.lanes[static_cast<size_t>(i)]) {
-        return false;
+    // the stream slice just behind ptr -- or, once a short tail beat has
+    // run (nothing remains to load then), a slice ending one to three
+    // words before it. Verify and decline otherwise. Any offset that
+    // verifies is exact: the cursor reads no other words.
+    const auto verify = [&]() {
+      for (int i = 0; i < c->win; ++i) {
+        if (c->data[c->consumed + static_cast<size_t>(i)] !=
+            s.window.lanes[static_cast<size_t>(i)]) {
+          return false;
+        }
+      }
+      for (int i = 0; i < c->fifo; ++i) {
+        if (c->data[c->consumed + static_cast<size_t>(c->win + i)] !=
+            s.load_fifo.Peek(i)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const size_t max_gap = c->rem == 0 ? 3 : 0;
+    for (size_t gap = 0; gap <= max_gap && buffered + gap <= c->pos; ++gap) {
+      c->consumed = c->pos - gap - buffered;
+      if (verify()) {
+        c->lat = (*memory)->config().access_latency;
+        c->has_span = true;
+        return true;
       }
     }
-    for (int i = 0; i < c->fifo; ++i) {
-      if (c->data[c->consumed + static_cast<size_t>(c->win + i)] !=
-          s.load_fifo.Peek(i)) {
-        return false;
-      }
-    }
-    c->lat = (*memory)->config().access_latency;
-    c->has_span = true;
-    return true;
+    return false;
   };
 
   Cursor ca, cb;
@@ -800,6 +846,27 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     ring[emitted++ & 63] = result_fifo_.Peek(i);
   }
   const uint64_t written0 = written;
+
+  // The cursors read buffered input from memory when it is consumed,
+  // where the per-word engine copies each beat when it loads it; a pack
+  // stored over input not yet consumed would tell the two apart. Decline
+  // when the packs this loop can still write overlap unread input. The
+  // 1-LSU sort ping-pongs between two halves of LDM0, so this compares
+  // address ranges, not regions.
+  {
+    const auto unread = [](const Cursor& c) {
+      return static_cast<size_t>(c.win + c.fifo) + c.rem;
+    };
+    const size_t out_end =
+        out_pos + 4 * ((static_cast<size_t>(emitted - written) +
+                        unread(ca) + unread(cb)) / 4);
+    const auto overlaps = [&](const Cursor& c) {
+      if (!c.has_span || c.data != out_data) return false;
+      const size_t in_end = c.pos + 4 * ((static_cast<size_t>(c.rem) + 3) / 4);
+      return c.consumed < out_end && out_pos < in_end;
+    };
+    if (overlaps(ca) || overlaps(cb)) return SteadyOutcome::kDeclined;
+  }
 
   // Local copies of the hot counters: per-word increments stay in
   // registers; written back through the mirrors on every exit path.
@@ -899,13 +966,10 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     // stalls, and need a longer prefix for a representative average.
     constexpr uint64_t kCalIters = kMode == SopMode::kIntersect ? 1 : 32;
     for (;;) {
-      // Iteration-head guards: hand whole-iteration margins back to the
-      // per-word machinery (exact deadline reporting, result-region
-      // bounds errors, short input tails with take < 4).
-      if (cycles + iter_margin >= max_cycles ||
-          out_pos + 4 * unroll + 48 > out_words ||
-          (ca.has_span && ca.rem > 0 && ca.pos + 4 > ca.words) ||
-          (cb.has_span && cb.rem > 0 && cb.pos + 4 > cb.words)) {
+      // Iteration-head guard: the last iterations before the watchdog
+      // go back to the per-word machinery, which reports the deadline at
+      // the exact word. Region ends are checked per word below.
+      if (cycles + iter_margin >= max_cycles) {
         if (!any_word) return SteadyOutcome::kDeclined;
         sync(loop.head);
         return SteadyOutcome::kHandedBack;
@@ -918,8 +982,10 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
       // cycles, beats, and word counts for the segment are extrapolated
       // from the per-element rates of the calibration prefix, which is
       // the documented turbo-mode deviation. The exact stepper resumes
-      // for the final kTail elements of either side.
-      if (!exact && !bulk_tried && iters >= kCalIters && d_consumed > 0 &&
+      // for the final kTail elements of either side. Merge loops stay
+      // exact in turbo: a sort runs thousands of short pair loops.
+      if (kMode != SopMode::kMerge && !exact && !bulk_tried &&
+          iters >= kCalIters && d_consumed > 0 &&
           ca.has_span && cb.has_span && ca.rem > 0 && cb.rem > 0) {
         bulk_tried = true;
         const size_t total_a = ca.pos + static_cast<size_t>(ca.rem);
@@ -935,9 +1001,12 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         const uint64_t budget_el =
             static_cast<uint64_t>(static_cast<double>(cycle_room) / cyc_per_el);
         const size_t olimit = out_words > 2 * kTail ? out_words - 2 * kTail : 0;
+        // The bulk reads the streams straight from their regions; one
+        // that runs past its region's end stays with the exact stepper,
+        // which hands the faulting beat back to the per-word engine.
         if (total_a > ca.consumed + 2 * kTail &&
-            total_b > cb.consumed + 2 * kTail && budget_el > 0 &&
-            out_pos + 4 <= olimit) {
+            total_b > cb.consumed + 2 * kTail && total_a <= ca.words &&
+            total_b <= cb.words && budget_el > 0 && out_pos + 4 <= olimit) {
           const size_t la = total_a - kTail;
           const size_t lb = total_b - kTail;
           const uint32_t* A = ca.data;
@@ -1059,8 +1128,9 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
       for (size_t k = 0; k < unroll; ++k) {
         // --- STORE_SOP (ST; SOP; flag <- active) ---
         // The SOP outcome and the ST pack plan are computed first so a
-        // result-FIFO overflow can hand back *before* any effect of the
-        // word (the per-word engine then reproduces the exact error).
+        // result-FIFO overflow or a pack past the result region's end can
+        // hand back *before* any effect of the word (the per-word engine
+        // then reproduces the exact error).
         const uint32_t* pa = ca.data + ca.consumed;
         const uint32_t* pb = cb.data + cb.consumed;
         const bool ue_a = ca.rem == 0 && ca.fifo == 0;
@@ -1085,20 +1155,22 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         }
         int rfifo = static_cast<int>(emitted - written) - sbuf;
         {
-          int s = sbuf;
           int r = rfifo;
-          if (s == 4) {
-            s = 0;
-          } else if (s == 0 && r >= 4) {
+          size_t planned = 0;  // packs the ST half will store
+          if (sbuf == 4) {
+            planned = 1;
+          } else if (sbuf == 0 && r >= 4) {
             r -= 4;
+            planned = 1;
           }
-          while (r >= 8) r -= 4;
-          if (r + outcome.emit_count > result_fifo_.capacity()) {
-            // Real behavior is a result-FIFO-overflow error inside this
-            // word; hand back so the per-word engine reproduces it. With
-            // zero progress, decline instead (state is untouched) so the
-            // caller falls through to the generic engine -- handing back
-            // at the head would re-enter this stepper forever.
+          for (; r >= 8; r -= 4) ++planned;
+          if (r + outcome.emit_count > result_fifo_.capacity() ||
+              out_pos + 4 * planned > out_words) {
+            // Real behavior is an error inside this word; hand back so
+            // the per-word engine reproduces it. With zero progress,
+            // decline instead (state is untouched) so the caller falls
+            // through to the generic engine -- handing back at the head
+            // would re-enter this stepper forever.
             if (!any_word) return SteadyOutcome::kDeclined;
             sync(loop.head + static_cast<uint32_t>(2 * k));
             return SteadyOutcome::kHandedBack;
@@ -1141,10 +1213,10 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         const bool drained_b = cb.rem == 0 && cb.fifo == 0 && cb.win == 0;
         if constexpr (kMode == SopMode::kIntersect) {
           active = !drained_a && !drained_b;
-        } else if constexpr (kMode == SopMode::kUnion) {
-          active = !drained_a || !drained_b;
-        } else {
+        } else if constexpr (kMode == SopMode::kDifference) {
           active = !drained_a;
+        } else {
+          active = !drained_a || !drained_b;
         }
         wrote_flag = true;
         {
@@ -1159,12 +1231,25 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
           beats0 += b0;
           beats1 += b1;
         }
-        // --- LD_LDP_SHUFFLE (LD both sides; LD_P both; ST_S) ---
-        // A live load whose beat would cross the region end errors on
-        // the real path; hand back pre-word so the per-word engine
-        // raises it.
-        if ((ca.rem > 0 && ca.pos + 4 > ca.words) ||
-            (cb.rem > 0 && cb.pos + 4 > cb.words)) {
+        // --- Load word ---
+        // LD_LDP_SHUFFLE: LD both sides; LD_P both; ST_S. LD_MERGE: one
+        // beat into the side with fewer buffered elements, or the other
+        // side once that stream is spent; LD_P both; flag <- active,
+        // which loads cannot change. A live load whose beat would cross
+        // the region end errors on the real path; hand back pre-word so
+        // the per-word engine raises it.
+        Cursor* merge_side = nullptr;
+        bool past_end;
+        if constexpr (kMode == SopMode::kMerge) {
+          Cursor& first = cb.win + cb.fifo < ca.win + ca.fifo ? cb : ca;
+          merge_side = first.rem > 0 ? &first : (&first == &ca ? &cb : &ca);
+          past_end = merge_side->rem > 0 &&
+                     merge_side->pos + 4 > merge_side->words;
+        } else {
+          past_end = (ca.rem > 0 && ca.pos + 4 > ca.words) ||
+                     (cb.rem > 0 && cb.pos + 4 > cb.words);
+        }
+        if (past_end) {
           sync(loop.head + static_cast<uint32_t>(2 * k + 1));
           return SteadyOutcome::kHandedBack;
         }
@@ -1184,8 +1269,12 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
             c.rem -= take;
           }
         };
-        load_side(ca, 0);
-        load_side(cb, lsu_b);
+        if constexpr (kMode == SopMode::kMerge) {
+          load_side(*merge_side, 0);
+        } else {
+          load_side(ca, 0);
+          load_side(cb, lsu_b);
+        }
         auto refill = [&](Cursor& c) {
           if (!partial && c.win != 0) return;
           const int mv = std::min(4 - c.win, c.fifo);
@@ -1194,8 +1283,10 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         };
         refill(ca);
         refill(cb);
-        if (sbuf == 0 && static_cast<int>(emitted - written) >= 4) {
-          sbuf = 4;
+        if constexpr (kMode != SopMode::kMerge) {
+          if (sbuf == 0 && static_cast<int>(emitted - written) >= 4) {
+            sbuf = 4;
+          }
         }
         const uint32_t port = std::max(b0, b1);
         if (port > 1) {
@@ -1227,9 +1318,12 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
       return steady.template operator()<SopMode::kIntersect>();
     case SopMode::kUnion:
       return steady.template operator()<SopMode::kUnion>();
-    default:
+    case SopMode::kDifference:
       return steady.template operator()<SopMode::kDifference>();
+    case SopMode::kMerge:
+      return steady.template operator()<SopMode::kMerge>();
   }
+  return SteadyOutcome::kDeclined;
 }
 
 Result<bool> EisExtension::RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
@@ -1279,8 +1373,9 @@ Result<bool> EisExtension::RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
         std::to_string(pc));
   };
 
-  // Steady-state set-operation loops take the cursor stepper; anything
-  // it cannot model exactly falls through to the generic engine below.
+  // Steady-state set-operation and merge loops take the cursor stepper;
+  // anything it cannot model exactly falls through to the generic engine
+  // below.
   {
     SteadyMirrors mirrors{cycles,     bundles,        instructions,
                           taken_branches, mispredicted, branch_penalty,
@@ -1288,10 +1383,14 @@ Result<bool> EisExtension::RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
     const SteadyOutcome outcome =
         RunSetOpSteady(loop, cpu, exact, max_cycles, iter_margin, mirrors);
     if (outcome != SteadyOutcome::kDeclined) {
+      TieLoopCounter(mode() == SopMode::kMerge ? LoopEngine::kMergeStepper
+                                               : LoopEngine::kSetOpStepper)
+          ->Increment();
       flush();
       return true;
     }
   }
+  TieLoopCounter(LoopEngine::kPerWord)->Increment();
 
   bool ran = false;
   for (;;) {

@@ -60,12 +60,15 @@ struct EisCounters {
 /// (Section 4: "the LD instruction loads always from LSU0"). On a
 /// single-LSU core the simulator folds all beats onto LSU0 and charges
 /// the port-contention cycles automatically.
-/// The database-specific instruction-set extension. Also implements the
-/// simulator's LoopAccelerator interface: the steady-state kernel loops
-/// (Figures 10-12) are recognized as TIE-loop superblocks and executed
-/// iteration-at-a-time through a direct-dispatch batch engine instead of
-/// the per-word issue machinery -- with the same semantics and the same
-/// cycle arithmetic (pinned by the differential test suite).
+///
+/// Also implements the simulator's LoopAccelerator interface: TIE-loop
+/// superblocks run inside the extension instead of through the per-word
+/// issue machinery, with the same semantics and the same cycle
+/// arithmetic (pinned by the differential test suite). The Figure 11
+/// set-op loops and the Figure 12 merge loop take the exact cursor
+/// stepper (RunSetOpSteady); every other TIE loop -- the presort
+/// SORT_BEAT loop, custom programs -- and whatever the stepper hands
+/// back runs on the per-word DispatchOp engine.
 class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
  public:
   EisExtension();
@@ -156,7 +159,7 @@ class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
   Status DispatchOp(uint16_t ext_id, Ctx& ctx);
 
   /// Hot-counter mirrors shared between RunTieLoop and the steady-state
-  /// set-operation stepper.
+  /// stepper.
   struct SteadyMirrors {
     uint64_t& cycles;
     uint64_t& bundles;
@@ -174,18 +177,24 @@ class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
     kCompleted,   // loop fell through the branch; state synced, pc set
   };
 
-  /// Cursor-based fast path for the steady-state set-operation loop
-  /// (Figure 11): executes whole iterations on raw memory views with
-  /// integer FIFO/window occupancy modelling, writing result beats and
-  /// accumulating exactly the per-word stats of the generic engine. Any
-  /// case it cannot model bit-exactly (result FIFO overflow, watchdog
-  /// margin, span exhaustion, unexpected entry state) hands back to the
-  /// per-word machinery at a word boundary.
+  /// Cursor-based fast path for the steady-state loops: the set-op loop
+  /// unroll x [STORE_SOP, LD_LDP_SHUFFLE] of Figure 11 and, in merge
+  /// mode, the merge-sort loop unroll x [STORE_SOP, LD_MERGE] of
+  /// Figure 12, each closed by a branch on the flag register. Executes
+  /// whole iterations on raw memory views with integer FIFO/window
+  /// occupancy modelling, writing result beats and accumulating exactly
+  /// the per-word stats and counters of the generic engine. Any case it
+  /// cannot model bit-exactly -- a result-FIFO overflow, a beat or pack
+  /// past its region's end, the watchdog margin, an output range that
+  /// overlaps unread input, an unexpected entry state -- hands back to
+  /// the per-word machinery at a word boundary, or declines if no word
+  /// has run yet.
   ///
-  /// With `exact` false (turbo mode) the steady region additionally runs
-  /// through a raw two-pointer bulk loop: results stay element-exact,
-  /// but cycles and beat counts for the bulk segment are extrapolated
-  /// linearly from a short calibration prefix of exact iterations.
+  /// With `exact` false (turbo mode) the steady region of a set-op loop
+  /// additionally runs through a raw two-pointer bulk loop: results stay
+  /// element-exact, but cycles and beat counts for the bulk segment are
+  /// extrapolated linearly from a short calibration prefix of exact
+  /// iterations. Merge loops stay exact in turbo.
   SteadyOutcome RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
                                bool exact, uint64_t max_cycles,
                                uint64_t iter_margin, SteadyMirrors& m);

@@ -4,10 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "core/processor.h"
+#include "core/workload.h"
+#include "dbkern/eis_kernels.h"
 #include "eis/eis_extension.h"
 #include "isa/assembler.h"
 #include "isa/registers.h"
 #include "mem/memory.h"
+#include "obs/metrics/metrics.h"
+#include "shared/kernel_grid.h"
 #include "sim/cpu.h"
 
 namespace dba::eis {
@@ -349,6 +360,121 @@ TEST_F(EisExtensionTest, FlushWithFullStoreStatesAndPendingResults) {
             (std::vector<uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
 }
 
+/// TIE-loop entries so far that the given engine ran
+/// (dba_eis_tie_loops_total{engine}).
+uint64_t TieLoops(std::string_view engine) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("dba_eis_tie_loops_total", "engine", engine)
+      ->Value();
+}
+
+// --- Stepper hand-backs ---
+//
+// The exact stepper hands a loop back to the per-word engine at the word
+// boundary before a fault or the watchdog. Driving the Figure 11 and
+// Figure 12 loops into both must leave the interpreter's status, faulting
+// pc, datapath counters and result region in every execution mode.
+
+struct LoopRun {
+  std::string status;
+  uint32_t pc = 0;
+  EisCounters counters;
+  std::vector<uint32_t> result;
+};
+
+std::vector<uint32_t> Ascending(uint32_t n, uint32_t start, uint32_t step) {
+  std::vector<uint32_t> values(n);
+  for (uint32_t i = 0; i < n; ++i) values[i] = start + i * step;
+  return values;
+}
+
+class EisStepperHandBackTest : public EisExtensionTest {
+ protected:
+  /// Runs `program` over `a` and `b` (with stream A declared `len_a`
+  /// elements long) in `exec` mode, with the loop accelerator attached.
+  LoopRun Run(const isa::Program& program, const std::vector<uint32_t>& a,
+              const std::vector<uint32_t>& b, uint32_t len_a,
+              sim::ExecMode exec, uint64_t max_cycles) {
+    cpu_.SetLoopAccelerator(&ext_);
+    std::fill(mem_c_.mutable_raw().begin(), mem_c_.mutable_raw().end(), 0);
+    EXPECT_TRUE(mem_a_.WriteBlock(kMemABase, a).ok());
+    EXPECT_TRUE(mem_b_.WriteBlock(kMemBBase, b).ok());
+    cpu_.ResetArchState();
+    ext_.ResetState();
+    cpu_.set_reg(isa::abi::kPtrA, kMemABase);
+    cpu_.set_reg(isa::abi::kPtrB, kMemBBase);
+    cpu_.set_reg(isa::abi::kLenA, len_a);
+    cpu_.set_reg(isa::abi::kLenB, static_cast<uint32_t>(b.size()));
+    cpu_.set_reg(isa::abi::kPtrC, kMemCBase);
+    EXPECT_TRUE(cpu_.LoadProgram(program).ok());
+    sim::RunOptions options;
+    options.mode = exec;
+    options.max_cycles = max_cycles;
+    LoopRun run;
+    run.status = cpu_.Run(options).status().ToString();
+    run.pc = cpu_.pc();
+    run.counters = ext_.counters();
+    run.result = *mem_c_.ReadBlock(kMemCBase, 256);
+    return run;
+  }
+
+  void ExpectSameAsInterpret(const isa::Program& program,
+                             const std::vector<uint32_t>& a,
+                             const std::vector<uint32_t>& b, uint32_t len_a,
+                             uint64_t max_cycles = 1ull << 36) {
+    const LoopRun want =
+        Run(program, a, b, len_a, sim::ExecMode::kInterpret, max_cycles);
+    EXPECT_NE(want.status, Status::Ok().ToString());
+    for (const sim::ExecMode exec :
+         {sim::ExecMode::kFastForward, sim::ExecMode::kTurbo}) {
+      SCOPED_TRACE(std::string(sim::ExecModeName(exec)));
+      const uint64_t stepped = TieLoops("setop_stepper") +
+                               TieLoops("merge_stepper");
+      const LoopRun got = Run(program, a, b, len_a, exec, max_cycles);
+      // The stepper took the loop before handing it back.
+      EXPECT_GT(TieLoops("setop_stepper") + TieLoops("merge_stepper"),
+                stepped);
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.pc, want.pc);
+      test::ExpectCountersIdentical(got.counters, want.counters);
+      EXPECT_EQ(got.result, want.result);
+    }
+  }
+};
+
+TEST_F(EisStepperHandBackTest, MergePackPastResultRegionEnd) {
+  // 400 merged elements into a 256-word result region.
+  auto program = dbkern::BuildEisMergePair();
+  ASSERT_TRUE(program.ok());
+  ExpectSameAsInterpret(*program, Ascending(200, 1, 3), Ascending(200, 2, 3),
+                        200);
+}
+
+TEST_F(EisStepperHandBackTest, MergeBeatPastInputRegionEnd) {
+  // Stream A claims 300 elements; its 256-word region ends before the
+  // results fill theirs.
+  auto program = dbkern::BuildEisMergePair();
+  ASSERT_TRUE(program.ok());
+  ExpectSameAsInterpret(*program, Ascending(256, 1, 2), Ascending(4, 2, 2),
+                        300);
+}
+
+TEST_F(EisStepperHandBackTest, UnionPackPastResultRegionEnd) {
+  auto program = dbkern::BuildEisSetOp(SopMode::kUnion, true, 4);
+  ASSERT_TRUE(program.ok());
+  ExpectSameAsInterpret(*program, Ascending(200, 1, 2), Ascending(200, 2, 2),
+                        200);
+}
+
+TEST_F(EisStepperHandBackTest, MergeWatchdogMidLoop) {
+  auto program = dbkern::BuildEisMergePair();
+  ASSERT_TRUE(program.ok());
+  // The deadline falls past the stepper's whole-iteration margin, so
+  // the stepper runs first and hands the last iterations back.
+  ExpectSameAsInterpret(*program, Ascending(150, 1, 3), Ascending(100, 2, 3),
+                        150, /*max_cycles=*/180);
+}
+
 TEST_F(EisExtensionTest, EisRequiresWideBus) {
   // On a 32-bit data bus (108Mini-like) the extension's beats fail.
   sim::CoreConfig narrow;
@@ -369,6 +495,77 @@ TEST_F(EisExtensionTest, EisRequiresWideBus) {
   cpu.set_reg(isa::abi::kLenA, 4);
   ASSERT_TRUE(cpu.LoadProgram(program_).ok());
   EXPECT_EQ(cpu.Run().status().code(), StatusCode::kFailedPrecondition);
+}
+
+// --- Which engine runs each TIE loop ---
+//
+// Every modeled number is the same whichever engine runs a loop, so the
+// dba_eis_tie_loops_total{engine} counter is the only place a stepper
+// that quietly declined would show.
+
+struct EngineCounts {
+  uint64_t setop = TieLoops("setop_stepper");
+  uint64_t merge = TieLoops("merge_stepper");
+  uint64_t per_word = TieLoops("per_word");
+};
+
+/// Merge pairs of an n-element sort: runs of 4 from the presort loop,
+/// then one pass per doubling of the run length while a run is shorter
+/// than the input.
+uint64_t SortMergePairs(uint64_t n) {
+  uint64_t pairs = 0;
+  for (uint64_t run = 4; run < n; run *= 2) {
+    pairs += (n + 2 * run - 1) / (2 * run);
+  }
+  return pairs;
+}
+
+TEST(EisLoopEngineTest, MergeAndSortCoreLoopsRunOnTheStepper) {
+  for (const ProcessorKind kind :
+       {ProcessorKind::kDba1LsuEis, ProcessorKind::kDba2LsuEis}) {
+    auto processor = Processor::Create(kind);
+    ASSERT_TRUE(processor.ok());
+    for (const sim::ExecMode mode :
+         {sim::ExecMode::kFastForward, sim::ExecMode::kTurbo}) {
+      SCOPED_TRACE(std::string(hwmodel::ConfigKindName(kind)) + "/" +
+                   std::string(sim::ExecModeName(mode)));
+      RunSettings settings;
+      settings.sim_mode = mode;
+
+      // Sides that end in a short tail beat, down to one that is a
+      // single tail beat when the loop starts.
+      for (const auto& [na, nb] :
+           {std::pair{3001u, 2000u}, std::pair{3u, 2000u},
+            std::pair{2000u, 1u}}) {
+        auto pair = GenerateSetPair(na, nb, 0.5, 5);
+        ASSERT_TRUE(pair.ok());
+        EngineCounts before;
+        ASSERT_TRUE((*processor)->RunMerge(pair->a, pair->b, settings).ok());
+        ASSERT_TRUE((*processor)
+                        ->RunSetOperation(SetOp::kUnion, pair->a, pair->b,
+                                          settings)
+                        .ok());
+        EngineCounts after;
+        EXPECT_EQ(after.merge - before.merge, 1u) << na << "x" << nb;
+        EXPECT_EQ(after.setop - before.setop, 1u) << na << "x" << nb;
+        EXPECT_EQ(after.per_word - before.per_word, 0u) << na << "x" << nb;
+      }
+
+      // A sort's presort SORT_BEAT loop is its only per-word loop; every
+      // pair of every merge pass runs on the stepper, tail runs included,
+      // up to capacity.
+      for (const uint32_t n :
+           {3000u, 3001u, 4003u, (*processor)->max_sort_elements()}) {
+        const std::vector<uint32_t> values = GenerateSortInput(n, n);
+        const EngineCounts before;
+        ASSERT_TRUE((*processor)->RunSort(values, settings).ok());
+        const EngineCounts after;
+        EXPECT_EQ(after.merge - before.merge, SortMergePairs(n)) << n;
+        EXPECT_EQ(after.setop - before.setop, 0u) << n;
+        EXPECT_EQ(after.per_word - before.per_word, 1u) << n;
+      }
+    }
+  }
 }
 
 }  // namespace
