@@ -1,6 +1,7 @@
 #include "eis/sop.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
@@ -18,6 +19,21 @@ std::string_view SopModeName(SopMode mode) {
       return "merge";
   }
   return "invalid";
+}
+
+Result<std::span<const uint32_t>> EmptyOperandResult(
+    SopMode mode, std::span<const uint32_t> a, std::span<const uint32_t> b) {
+  switch (mode) {
+    case SopMode::kIntersect:
+      return std::span<const uint32_t>();
+    case SopMode::kUnion:
+    case SopMode::kMerge:
+      return a.empty() ? b : a;
+    case SopMode::kDifference:
+      return a;
+  }
+  return Status::InvalidArgument("unsupported set operation " +
+                                 std::to_string(static_cast<int>(mode)));
 }
 
 void Window::Consume(int n) {

@@ -4,6 +4,14 @@
 
 namespace dba::prefetch {
 
+namespace {
+
+/// Core cycles to copy `elements` words out with 128-bit copy
+/// instructions: 2 port cycles + loop per 4-element beat.
+uint64_t CopyCycles(size_t elements) { return 3 * ((elements + 3) / 4); }
+
+}  // namespace
+
 StreamingSetOperation::StreamingSetOperation(Processor* processor,
                                              DmaConfig dma_config,
                                              uint32_t chunk_elements,
@@ -71,24 +79,18 @@ Result<StreamingRun> StreamingSetOperation::Run(SetOp op,
     ib += nb;
   }
 
-  // Tail: one stream is exhausted.
-  const bool a_left = ia < a.size();
-  std::span<const uint32_t> rest =
-      a_left ? a.subspan(ia) : b.subspan(ib);
-  if (!rest.empty()) {
-    std::vector<uint32_t> tail;
-    if (op == SetOp::kUnion || op == SetOp::kMerge ||
-        (op == SetOp::kDifference && a_left)) {
-      tail.assign(rest.begin(), rest.end());
-      // The tail still streams through the prefetcher and the copy path.
-      const uint64_t bytes = 4 * 2 * static_cast<uint64_t>(rest.size());
-      const uint64_t dma_cycles = dma_.TransferCycles(bytes);
-      // 128-bit copy instructions: 2 port cycles + loop per beat.
-      const uint64_t copy_cycles = 3 * ((rest.size() + 3) / 4);
-      run.compute_cycles += copy_cycles;
-      run.dma_cycles += dma_cycles;
-      run.total_cycles += std::max(copy_cycles, dma_cycles);
-    }
+  // Tail: one stream is exhausted; what survives of the other still
+  // streams through the prefetcher and the copy path.
+  DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> tail,
+                       eis::EmptyOperandResult(op, a.subspan(ia),
+                                               b.subspan(ib)));
+  if (!tail.empty()) {
+    const uint64_t bytes = 4 * 2 * static_cast<uint64_t>(tail.size());
+    const uint64_t dma_cycles = dma_.TransferCycles(bytes);
+    const uint64_t copy_cycles = CopyCycles(tail.size());
+    run.compute_cycles += copy_cycles;
+    run.dma_cycles += dma_cycles;
+    run.total_cycles += std::max(copy_cycles, dma_cycles);
     run.result.insert(run.result.end(), tail.begin(), tail.end());
   }
 
@@ -99,6 +101,73 @@ Result<StreamingRun> StreamingSetOperation::Run(SetOp op,
     run.throughput_meps =
         static_cast<double>(a.size() + b.size()) / seconds / 1e6;
   }
+  return run;
+}
+
+Result<AnySizeRun> RunSetOperationAnySize(Processor* processor, SetOp op,
+                                          std::span<const uint32_t> a,
+                                          std::span<const uint32_t> b,
+                                          const RunSettings& settings) {
+  AnySizeRun run;
+  if (a.empty() || b.empty()) {
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> kept,
+                         eis::EmptyOperandResult(op, a, b));
+    run.result.assign(kept.begin(), kept.end());
+    run.cycles = CopyCycles(kept.size());
+    return run;
+  }
+  const bool fits =
+      a.size() <=
+          processor->max_set_elements(static_cast<uint32_t>(b.size())) &&
+      b.size() <=
+          processor->max_set_elements(static_cast<uint32_t>(a.size()));
+  if (fits) {
+    // kMerge has its own processor entry point (RunSetOperation rejects
+    // it: duplicates make it a sort building block, not a set op).
+    DBA_ASSIGN_OR_RETURN(SetOpRun kernel_run,
+                         op == SetOp::kMerge
+                             ? processor->RunMerge(a, b, settings)
+                             : processor->RunSetOperation(op, a, b, settings));
+    run.result = std::move(kernel_run.result);
+    run.cycles = kernel_run.metrics.cycles;
+    return run;
+  }
+  StreamingSetOperation streaming(processor, DmaConfig{}, 0, settings);
+  DBA_ASSIGN_OR_RETURN(StreamingRun streamed, streaming.Run(op, a, b));
+  run.result = std::move(streamed.result);
+  run.cycles = streamed.total_cycles;
+  run.streamed = true;
+  return run;
+}
+
+Result<AnySizeSortRun> SortAnySize(Processor* processor,
+                                   std::span<const uint32_t> values,
+                                   const RunSettings& settings) {
+  AnySizeSortRun run;
+  const uint32_t capacity = processor->max_sort_elements();
+  StreamingSetOperation streaming(processor, DmaConfig{}, 0, settings);
+  size_t pos = 0;
+  do {
+    const size_t len = std::min<size_t>(capacity, values.size() - pos);
+    DBA_ASSIGN_OR_RETURN(SortRun chunk,
+                         processor->RunSort(values.subspan(pos, len),
+                                            settings));
+    run.cycles += chunk.metrics.cycles;
+    ++run.chunks;
+    if (pos == 0) {
+      run.sorted = std::move(chunk.sorted);
+    } else {
+      // Every merge streams, even when both runs would still fit the
+      // local store.
+      DBA_ASSIGN_OR_RETURN(StreamingRun merged,
+                           streaming.Run(SetOp::kMerge, run.sorted,
+                                         chunk.sorted));
+      run.cycles += merged.total_cycles;
+      run.merged_elements += run.sorted.size() + chunk.sorted.size();
+      run.sorted = std::move(merged.result);
+    }
+    pos += len;
+  } while (pos < values.size());
   return run;
 }
 

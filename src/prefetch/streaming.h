@@ -52,6 +52,47 @@ class StreamingSetOperation {
   RunSettings base_settings_;
 };
 
+/// Result of RunSetOperationAnySize.
+struct AnySizeRun {
+  std::vector<uint32_t> result;
+  /// Kernel cycles when the inputs fit, the streamed total (with
+  /// compute/transfer overlap) otherwise.
+  uint64_t cycles = 0;
+  bool streamed = false;
+};
+
+/// Runs `op` (kMerge included) on one core, whatever the input sizes:
+/// with an empty operand, the EmptyOperandResult copied out at 3 cycles
+/// per 4-element beat; as one kernel run when both sides fit
+/// max_set_elements; streamed through the prefetcher otherwise. This is
+/// the single fit-or-stream decision of the board, the query engine and
+/// the planner's EIS route.
+Result<AnySizeRun> RunSetOperationAnySize(Processor* processor, SetOp op,
+                                          std::span<const uint32_t> a,
+                                          std::span<const uint32_t> b,
+                                          const RunSettings& settings = {});
+
+/// Result of SortAnySize.
+struct AnySizeSortRun {
+  std::vector<uint32_t> sorted;
+  uint64_t cycles = 0;  // all chunk sorts plus all streamed merges
+  /// Sort-kernel runs over max_sort_elements-sized chunks (1 when the
+  /// input fits, including an empty one); chunks - 1 streamed merges
+  /// follow them.
+  uint32_t chunks = 0;
+  /// Input elements summed over the streamed merges.
+  uint64_t merged_elements = 0;
+};
+
+/// Sorts `values` of any size on one core: one sort-kernel run when
+/// they fit the local store, else local-store-sized chunks sorted in
+/// turn and each merged into the running result with the streamed
+/// merge kernel. The board's buckets, ORDER BY and JoinKeys all sort
+/// here.
+Result<AnySizeSortRun> SortAnySize(Processor* processor,
+                                   std::span<const uint32_t> values,
+                                   const RunSettings& settings = {});
+
 }  // namespace dba::prefetch
 
 #endif  // DBA_PREFETCH_STREAMING_H_

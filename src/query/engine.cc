@@ -214,50 +214,27 @@ Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
 
 Result<QueryEngine::EisExecution> QueryEngine::ExecuteEis(
     SetOp op, std::span<const Rid> a, std::span<const Rid> b) {
-  EisExecution out;
-  const bool fits =
-      a.size() <= processor_->max_set_elements(
-                      static_cast<uint32_t>(b.size())) &&
-      b.size() <= processor_->max_set_elements(static_cast<uint32_t>(a.size()));
-  out.streamed = !fits;
   Status last_error = Status::Internal("no attempt executed");
-  bool done = false;
-  for (int attempt = 0; attempt < max_attempts_ && !done; ++attempt) {
-    out.attempts_used = attempt + 1;
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
     const Status injected = ConsultFaultHook(
         std::string("eis:") + std::string(eis::SopModeName(op)), attempt);
-    if (!injected.ok()) {
-      last_error = injected;
-      if (!IsTransient(last_error.code())) return last_error;
-      continue;
+    Result<prefetch::AnySizeRun> run =
+        !injected.ok() ? Result<prefetch::AnySizeRun>(injected)
+                       : prefetch::RunSetOperationAnySize(
+                             processor_, op, a, b,
+                             AttemptSettings(run_settings_, attempt));
+    if (run.ok()) {
+      EisExecution out;
+      out.result = std::move(run->result);
+      out.cycles = run->cycles;
+      out.streamed = run->streamed;
+      out.attempts_used = attempt + 1;
+      return out;
     }
-    const RunSettings settings = AttemptSettings(run_settings_, attempt);
-    if (fits) {
-      Result<SetOpRun> run = processor_->RunSetOperation(op, a, b, settings);
-      if (run.ok()) {
-        out.cycles = run->metrics.cycles;
-        out.result = std::move(run->result);
-        done = true;
-      } else {
-        last_error = run.status();
-      }
-    } else {
-      prefetch::StreamingSetOperation streaming(processor_,
-                                                prefetch::DmaConfig{}, 0,
-                                                settings);
-      Result<prefetch::StreamingRun> run = streaming.Run(op, a, b);
-      if (run.ok()) {
-        out.cycles = run->total_cycles;
-        out.result = std::move(run->result);
-        done = true;
-      } else {
-        last_error = run.status();
-      }
-    }
-    if (!done && !IsTransient(last_error.code())) return last_error;
+    last_error = run.status();
+    if (!IsTransient(last_error.code())) return last_error;
   }
-  if (!done) return last_error;
-  return out;
+  return last_error;
 }
 
 Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
@@ -265,25 +242,12 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
                                                QueryStats* stats) {
   // Degenerate inputs need no accelerator round trip.
   if (a.rids.empty() || b.rids.empty()) {
-    std::vector<Rid> result;
-    switch (op) {
-      case SetOp::kIntersect:
-        break;
-      case SetOp::kUnion: {
-        const std::span<const Rid> keep = a.rids.empty() ? b.rids : a.rids;
-        result.assign(keep.begin(), keep.end());
-        break;
-      }
-      case SetOp::kDifference:
-        result.assign(a.rids.begin(), a.rids.end());
-        break;
-      default:
-        return Status::InvalidArgument("unsupported set operation");
-    }
+    DBA_ASSIGN_OR_RETURN(std::span<const Rid> kept,
+                         eis::EmptyOperandResult(op, a.rids, b.rids));
     AddPlanStep(stats, std::string(eis::SopModeName(op)) +
                            " (degenerate) -> " +
-                           std::to_string(result.size()) + " RIDs");
-    return result;
+                           std::to_string(kept.size()) + " RIDs");
+    return std::vector<Rid>(kept.begin(), kept.end());
   }
 
   // Adaptive routing applies to intersections only (union/difference/
@@ -604,44 +568,58 @@ std::future<Result<std::vector<Rid>>> QueryEngine::Submit(
 
 namespace {
 
-/// Sorts one key column on `processor` (chunked beyond the local store;
-/// streamed merge) and verifies uniqueness. Telemetry lands in the
-/// caller-provided `stats` (may be null) so two columns can sort on
-/// concurrent host threads into separate stats, merged after the join
-/// in left-right order -- keeping plans and counters identical to the
-/// serial engine.
+/// Adds every counter of `from` to `into` and appends its plan steps.
+/// accelerator_seconds is derived from the cycles by the caller.
+void AccumulateStats(QueryStats* into, const QueryStats& from) {
+  into->index_probes += from.index_probes;
+  into->set_operations += from.set_operations;
+  into->sorts += from.sorts;
+  into->retries += from.retries;
+  into->accelerator_cycles += from.accelerator_cycles;
+  into->elements_processed += from.elements_processed;
+  into->plan.insert(into->plan.end(), from.plan.begin(), from.plan.end());
+  into->planned_ops += from.planned_ops;
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    into->route_counts[r] += from.route_counts[r];
+  }
+  into->partition_index_builds += from.partition_index_builds;
+  into->host_route_seconds += from.host_route_seconds;
+}
+
+/// Sorts `values` with the accelerator (chunked beyond the local store,
+/// runs joined by streamed merges) and books the sort into `stats`
+/// (may be null) and the registry: one sort per chunk, one set
+/// operation per merge, and every sorted or merged input element.
+Result<prefetch::AnySizeSortRun> RunCountedSort(
+    Processor* processor, std::span<const uint32_t> values,
+    const RunSettings& settings, QueryStats* stats) {
+  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
+                       prefetch::SortAnySize(processor, values, settings));
+  const uint32_t merges = run.chunks - 1;
+  QueryInstruments().sorts->Increment(run.chunks);
+  QueryInstruments().setops->Increment(merges);
+  if (stats != nullptr) {
+    stats->sorts += run.chunks;
+    stats->set_operations += merges;
+    stats->accelerator_cycles += run.cycles;
+    stats->elements_processed += values.size() + run.merged_elements;
+  }
+  return run;
+}
+
+/// Sorts one key column on `processor` and verifies uniqueness.
+/// Telemetry lands in the caller-provided `stats` (may be null) so two
+/// columns can sort on concurrent host threads into separate stats,
+/// merged after the join in left-right order -- keeping plans and
+/// counters identical to the serial engine.
 Result<std::vector<uint32_t>> SortUniqueKeysOnce(
     Processor* processor, const Table& table, const std::string& key_column,
     const RunSettings& settings, QueryStats* stats) {
   DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
                        table.Column(key_column));
-  std::vector<uint32_t> sorted;
-  const uint32_t capacity = processor->max_sort_elements();
-  prefetch::StreamingSetOperation streaming(processor, prefetch::DmaConfig{},
-                                            0, settings);
-  for (size_t pos = 0; pos < values.size(); pos += capacity) {
-    const size_t len = std::min<size_t>(capacity, values.size() - pos);
-    DBA_ASSIGN_OR_RETURN(SortRun run,
-                         processor->RunSort(values.subspan(pos, len),
-                                            settings));
-    QueryInstruments().sorts->Increment();
-    if (stats != nullptr) {
-      ++stats->sorts;
-      stats->accelerator_cycles += run.metrics.cycles;
-      stats->elements_processed += len;
-    }
-    if (sorted.empty()) {
-      sorted = std::move(run.sorted);
-    } else {
-      DBA_ASSIGN_OR_RETURN(
-          prefetch::StreamingRun merge_run,
-          streaming.Run(SetOp::kMerge, sorted, run.sorted));
-      if (stats != nullptr) {
-        stats->accelerator_cycles += merge_run.total_cycles;
-      }
-      sorted = std::move(merge_run.result);
-    }
-  }
+  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
+                       RunCountedSort(processor, values, settings, stats));
+  const std::vector<uint32_t>& sorted = run.sorted;
   for (size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i] == sorted[i - 1]) {
       return Status::InvalidArgument(
@@ -652,7 +630,7 @@ Result<std::vector<uint32_t>> SortUniqueKeysOnce(
   AddPlanStep(stats, "sort join keys of " + table.name() + "." +
                          key_column + " (" +
                          std::to_string(sorted.size()) + " keys)");
-  return sorted;
+  return std::move(run.sorted);
 }
 
 /// SortUniqueKeysOnce with transient-failure retry: each attempt runs
@@ -675,12 +653,7 @@ Result<std::vector<uint32_t>> SortUniqueKeys(Processor* processor,
       QueryInstruments().retries->Increment(static_cast<uint64_t>(attempt));
       if (stats != nullptr) {
         stats->retries += static_cast<uint32_t>(attempt);
-        stats->sorts += attempt_stats.sorts;
-        stats->accelerator_cycles += attempt_stats.accelerator_cycles;
-        stats->elements_processed += attempt_stats.elements_processed;
-        for (std::string& step : attempt_stats.plan) {
-          stats->plan.push_back(std::move(step));
-        }
+        AccumulateStats(stats, attempt_stats);
       }
       return sorted;
     }
@@ -692,15 +665,6 @@ Result<std::vector<uint32_t>> SortUniqueKeys(Processor* processor,
                                last_error.code())));
   }
   return last_error;
-}
-
-void MergeJoinStats(QueryStats* stats, const QueryStats& side) {
-  if (stats == nullptr) return;
-  stats->sorts += side.sorts;
-  stats->retries += side.retries;
-  stats->accelerator_cycles += side.accelerator_cycles;
-  stats->elements_processed += side.elements_processed;
-  for (const std::string& step : side.plan) stats->plan.push_back(step);
 }
 
 }  // namespace
@@ -740,8 +704,8 @@ Result<std::vector<uint32_t>> QueryEngine::JoinKeys(
   }
   DBA_RETURN_IF_ERROR(left.status());
   DBA_RETURN_IF_ERROR(right.status());
-  MergeJoinStats(s, left_stats);
-  MergeJoinStats(s, right_stats);
+  AccumulateStats(s, left_stats);
+  AccumulateStats(s, right_stats);
   DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> keys,
                        RunSetOp(SetOp::kIntersect, *left, *right, s));
   s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
@@ -767,58 +731,19 @@ Result<std::vector<uint32_t>> QueryEngine::SelectValuesOrdered(
   values.reserve(rids.size());
   for (Rid rid : rids) values.push_back(column[rid]);
 
-  // Accelerator sort; chunked with a host merge beyond the local store.
-  const uint32_t capacity = processor_->max_sort_elements();
-  std::vector<uint32_t> sorted;
-  if (values.size() <= capacity) {
-    DBA_ASSIGN_OR_RETURN(SortRun run,
-                         processor_->RunSort(values, run_settings_));
-    QueryInstruments().sorts->Increment();
-    ++s->sorts;
-    s->accelerator_cycles += run.metrics.cycles;
-    s->elements_processed += values.size();
-    AddPlanStep(s, "sort " + std::to_string(values.size()) +
-                       " values on " + order_by);
-    sorted = std::move(run.sorted);
-  } else {
-    // External sort: sort local-store-sized chunks on the accelerator,
-    // then merge the runs pairwise with the streamed EIS merge kernel.
-    uint32_t chunks = 0;
-    prefetch::StreamingSetOperation streaming(processor_,
-                                              prefetch::DmaConfig{}, 0,
-                                              run_settings_);
-    for (size_t pos = 0; pos < values.size(); pos += capacity) {
-      const size_t len = std::min<size_t>(capacity, values.size() - pos);
-      DBA_ASSIGN_OR_RETURN(
-          SortRun run,
-          processor_->RunSort({values.data() + pos, len}, run_settings_));
-      QueryInstruments().sorts->Increment();
-      ++s->sorts;
-      s->accelerator_cycles += run.metrics.cycles;
-      s->elements_processed += len;
-      if (sorted.empty()) {
-        sorted = std::move(run.sorted);
-      } else {
-        DBA_ASSIGN_OR_RETURN(
-            prefetch::StreamingRun merge_run,
-            streaming.Run(SetOp::kMerge, sorted, run.sorted));
-        QueryInstruments().setops->Increment();
-        ++s->set_operations;
-        s->accelerator_cycles += merge_run.total_cycles;
-        s->elements_processed += sorted.size() + run.sorted.size();
-        sorted = std::move(merge_run.result);
-      }
-      ++chunks;
-    }
-    AddPlanStep(s, "external sort of " + std::to_string(values.size()) +
-                       " values (" + std::to_string(chunks) +
-                       " chunks, streamed merges)");
-  }
+  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
+                       RunCountedSort(processor_, values, run_settings_, s));
+  AddPlanStep(s, run.chunks == 1
+                     ? "sort " + std::to_string(values.size()) +
+                           " values on " + order_by
+                     : "external sort of " + std::to_string(values.size()) +
+                           " values (" + std::to_string(run.chunks) +
+                           " chunks, streamed merges)");
   s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
                            processor_->frequency_hz();
   QueryCounter("select_values_ordered")->Increment();
   QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return sorted;
+  return std::move(run.sorted);
 }
 
 }  // namespace dba::query

@@ -93,8 +93,8 @@ class QueryEngine {
 
   /// SELECT <order_by> FROM t WHERE <predicate> ORDER BY <order_by>:
   /// gathers the qualifying rows' values of `order_by` and sorts them on
-  /// the accelerator. Inputs beyond the local store sort in chunks with
-  /// a final host merge (counted in the plan, not in cycles).
+  /// the accelerator. Inputs beyond the local store sort in chunks whose
+  /// runs are joined by streamed merges (prefetch::SortAnySize).
   Result<std::vector<uint32_t>> SelectValuesOrdered(
       const Predicate& predicate, const std::string& order_by,
       QueryStats* stats = nullptr);

@@ -31,9 +31,13 @@ std::vector<Rid> SecondaryIndex::ProbeRange(uint32_t lo, uint32_t hi) const {
   const auto end =
       std::upper_bound(values_.begin(), values_.end(), hi) - values_.begin();
   std::vector<Rid> rids(rids_.begin() + begin, rids_.begin() + end);
-  // Entries are ordered by (value, rid); a multi-value range needs a
-  // final RID sort to produce the canonical sorted RID set.
-  std::sort(rids.begin(), rids.end());
+  // Entries are ordered by (value, rid): Build's stable sort keeps the
+  // RIDs of one value ascending, so only a range spanning several values
+  // needs a final RID sort to produce the canonical sorted RID set.
+  if (end > begin && values_[static_cast<size_t>(begin)] !=
+                         values_[static_cast<size_t>(end - 1)]) {
+    std::sort(rids.begin(), rids.end());
+  }
   return rids;
 }
 

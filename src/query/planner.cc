@@ -241,29 +241,15 @@ Result<RouteRun> RunIntersectRoute(Route route, std::span<const uint32_t> a,
         return Status::FailedPrecondition(
             "the eis_merge route needs a processor");
       }
-      const bool fits =
-          a.size() <= processor->max_set_elements(
-                          static_cast<uint32_t>(b.size())) &&
-          b.size() <= processor->max_set_elements(
-                          static_cast<uint32_t>(a.size()));
-      if (fits) {
-        DBA_ASSIGN_OR_RETURN(
-            SetOpRun op_run,
-            processor->RunSetOperation(SetOp::kIntersect, a, b, settings));
-        run.result = std::move(op_run.result);
-        run.accelerator_cycles = op_run.metrics.cycles;
-        run.route_seconds = op_run.metrics.seconds;
-      } else {
-        prefetch::StreamingSetOperation streaming(
-            processor, prefetch::DmaConfig{}, 0, settings);
-        DBA_ASSIGN_OR_RETURN(prefetch::StreamingRun stream_run,
-                             streaming.Run(SetOp::kIntersect, a, b));
-        run.result = std::move(stream_run.result);
-        run.accelerator_cycles = stream_run.total_cycles;
-        run.route_seconds = static_cast<double>(stream_run.total_cycles) /
-                            processor->frequency_hz();
-        run.streamed = true;
-      }
+      DBA_ASSIGN_OR_RETURN(
+          prefetch::AnySizeRun eis_run,
+          prefetch::RunSetOperationAnySize(processor, SetOp::kIntersect, a, b,
+                                           settings));
+      run.result = std::move(eis_run.result);
+      run.accelerator_cycles = eis_run.cycles;
+      run.route_seconds =
+          static_cast<double>(eis_run.cycles) / processor->frequency_hz();
+      run.streamed = eis_run.streamed;
       return run;
     }
     case Route::kGalloping: {

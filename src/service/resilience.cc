@@ -276,46 +276,23 @@ void CircuitBreaker::OnBoardResult(bool ok,
 Result<std::vector<uint32_t>> RunHostFallbackOp(SetOp op,
                                                 std::span<const uint32_t> a,
                                                 std::span<const uint32_t> b) {
-  std::vector<uint32_t> out;
   if (a.empty() || b.empty()) {
-    // Mirror Board::RunDegenerateRange bit for bit: intersect drops
-    // everything, union/merge keep the non-empty operand, difference
-    // keeps a.
-    switch (op) {
-      case SetOp::kIntersect:
-        break;
-      case SetOp::kUnion:
-      case SetOp::kMerge:
-        out.assign(a.empty() ? b.begin() : a.begin(),
-                   a.empty() ? b.end() : a.end());
-        break;
-      case SetOp::kDifference:
-        out.assign(a.begin(), a.end());
-        break;
-      default:
-        return Status::InvalidArgument(
-            "host fallback supports intersect/union/difference/merge");
-    }
-    return out;
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> kept,
+                         eis::EmptyOperandResult(op, a, b));
+    return std::vector<uint32_t>(kept.begin(), kept.end());
   }
   switch (op) {
     case SetOp::kIntersect: {
-      // The planner's host kernels, picked by its cost model (the EIS
-      // route is exactly what degraded mode must avoid). A transient
-      // partition probe pays its build on every call, so it only wins
-      // at extreme skew.
-      const query::CostModel model = query::DefaultCostModel();
-      query::Route route = query::Route::kSimdMerge;
-      double best = model.SimdMergeNs(a.size(), b.size());
-      const double gallop = model.GallopingNs(a.size(), b.size());
-      if (gallop < best) {
-        best = gallop;
-        route = query::Route::kGalloping;
-      }
-      const double probe =
-          model.PartitionProbeNs(a.size(), b.size()) +
-          model.PartitionBuildNs(std::max(a.size(), b.size()));
-      if (probe < best) route = query::Route::kPartitionProbe;
+      // The planner's choice over the uncalibrated default costs with no
+      // index: galloping or SIMD merge, never the EIS route that
+      // degraded mode must avoid (planner_test guards this).
+      static const query::Planner planner = [] {
+        query::PlannerOptions options;
+        options.cost_model = query::DefaultCostModel();
+        return query::Planner(options);
+      }();
+      const query::Route route =
+          planner.Plan(a.size(), b.size(), /*index_available=*/false).route;
       DBA_ASSIGN_OR_RETURN(query::RouteRun run,
                            query::RunIntersectRoute(route, a, b,
                                                     /*processor=*/nullptr));
@@ -325,10 +302,11 @@ Result<std::vector<uint32_t>> RunHostFallbackOp(SetOp op,
       return baseline::ScalarUnion(a, b);
     case SetOp::kDifference:
       return baseline::ScalarDifference(a, b);
-    case SetOp::kMerge:
-      out.resize(a.size() + b.size());
+    case SetOp::kMerge: {
+      std::vector<uint32_t> out(a.size() + b.size());
       std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin());
       return out;
+    }
     default:
       return Status::InvalidArgument(
           "host fallback supports intersect/union/difference/merge");

@@ -209,11 +209,11 @@ class CircuitBreaker {
 
 /// Executes one direct set operation entirely on host kernels --
 /// byte-identical to the board path, zero accelerator cycles.
-/// Intersections route through the planner's host kernels (galloping,
-/// SIMD merge, or a transient PartitionIndex probe, picked by the
-/// planner's cost model); union/difference use the scalar baselines;
-/// merge is a duplicate-preserving host merge. Empty-operand inputs
-/// mirror the board's degenerate-range semantics bit for bit.
+/// Intersections take the route query::Planner::Plan picks over
+/// DefaultCostModel() with no index (galloping or SIMD merge);
+/// union/difference use the scalar baselines; merge is a
+/// duplicate-preserving host merge. Empty operands get
+/// eis::EmptyOperandResult, the rule every layer shares.
 Result<std::vector<uint32_t>> RunHostFallbackOp(SetOp op,
                                                 std::span<const uint32_t> a,
                                                 std::span<const uint32_t> b);

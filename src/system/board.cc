@@ -134,102 +134,21 @@ std::vector<std::span<const uint32_t>> PartitionSorted(
   return ranges;
 }
 
-/// A range where one side is empty needs no core time beyond copying the
-/// surviving side out (intersect drops everything, union/difference keep
-/// the non-empty operand). Shared by the serial and parallel paths.
-Status RunDegenerateRange(SetOp op, std::span<const uint32_t> a,
-                          std::span<const uint32_t> b,
-                          std::vector<uint32_t>* result,
-                          uint64_t* compute_cycles) {
-  switch (op) {
-    case SetOp::kIntersect:
-      break;
-    case SetOp::kUnion:
-    case SetOp::kMerge:
-      result->assign(a.empty() ? b.begin() : a.begin(),
-                     a.empty() ? b.end() : a.end());
-      break;
-    case SetOp::kDifference:
-      result->assign(a.begin(), a.end());
-      break;
-    default:
-      return Status::InvalidArgument("unsupported parallel operation");
-  }
-  *compute_cycles = 3 * ((result->size() + 3) / 4);  // copy beats
-  return Status::Ok();
-}
-
-/// One core's share of a set operation: in-store kernel when the range
-/// fits, degenerate copy when a side is empty, streamed chunks
-/// otherwise. Writes pure compute cycles; NoC feed is reduced after the
-/// join (it depends on how many cores stream concurrently).
+/// One core's share of a set operation (a value range or a batch
+/// item). Writes pure compute cycles; NoC feed is reduced after the join
+/// (it depends on how many cores stream concurrently).
 Status RunSetPartition(Processor& core, SetOp op,
                        std::span<const uint32_t> part_a,
                        std::span<const uint32_t> part_b,
                        const RunSettings& settings,
                        std::vector<uint32_t>* result,
                        uint64_t* compute_cycles) {
-  const bool fits =
-      part_a.size() <=
-          core.max_set_elements(static_cast<uint32_t>(part_b.size())) &&
-      part_b.size() <=
-          core.max_set_elements(static_cast<uint32_t>(part_a.size()));
-  if (part_a.empty() || part_b.empty()) {
-    return RunDegenerateRange(op, part_a, part_b, result, compute_cycles);
-  }
-  if (fits) {
-    // kMerge has a dedicated processor entry point (RunSetOperation
-    // rejects it: duplicates make it a sort building block, not a set op).
-    DBA_ASSIGN_OR_RETURN(
-        SetOpRun core_run,
-        op == SetOp::kMerge
-            ? core.RunMerge(part_a, part_b, settings)
-            : core.RunSetOperation(op, part_a, part_b, settings));
-    *compute_cycles = core_run.metrics.cycles;
-    *result = std::move(core_run.result);
-    return Status::Ok();
-  }
-  prefetch::StreamingSetOperation streaming(&core, prefetch::DmaConfig{}, 0,
-                                            settings);
-  DBA_ASSIGN_OR_RETURN(prefetch::StreamingRun core_run,
-                       streaming.Run(op, part_a, part_b));
-  *compute_cycles = core_run.total_cycles;
-  *result = std::move(core_run.result);
+  DBA_ASSIGN_OR_RETURN(
+      prefetch::AnySizeRun run,
+      prefetch::RunSetOperationAnySize(&core, op, part_a, part_b, settings));
+  *compute_cycles = run.cycles;
+  *result = std::move(run.result);
   return Status::Ok();
-}
-
-/// Sorts arbitrarily large inputs on one core: local-store-sized chunks
-/// via the merge-sort kernel, runs merged pairwise with the streamed
-/// merge kernel. Returns total core cycles.
-Result<uint64_t> ExternalSort(Processor& core,
-                              std::span<const uint32_t> values,
-                              const RunSettings& settings,
-                              std::vector<uint32_t>* sorted) {
-  uint64_t cycles = 0;
-  const uint32_t capacity = core.max_sort_elements();
-  sorted->clear();
-  if (values.size() <= capacity) {
-    DBA_ASSIGN_OR_RETURN(SortRun run, core.RunSort(values, settings));
-    *sorted = std::move(run.sorted);
-    return run.metrics.cycles;
-  }
-  prefetch::StreamingSetOperation streaming(&core, prefetch::DmaConfig{}, 0,
-                                            settings);
-  for (size_t pos = 0; pos < values.size(); pos += capacity) {
-    const size_t len = std::min<size_t>(capacity, values.size() - pos);
-    DBA_ASSIGN_OR_RETURN(SortRun run,
-                         core.RunSort(values.subspan(pos, len), settings));
-    cycles += run.metrics.cycles;
-    if (sorted->empty()) {
-      *sorted = std::move(run.sorted);
-    } else {
-      DBA_ASSIGN_OR_RETURN(prefetch::StreamingRun merge_run,
-                           streaming.Run(SetOp::kMerge, *sorted, run.sorted));
-      cycles += merge_run.total_cycles;
-      *sorted = std::move(merge_run.result);
-    }
-  }
-  return cycles;
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -946,8 +865,10 @@ Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
       [](Processor& core, const PartitionWork& part,
          const RunSettings& settings, std::vector<uint32_t>* result,
          uint64_t* compute_cycles) -> Status {
-    DBA_ASSIGN_OR_RETURN(*compute_cycles,
-                         ExternalSort(core, part.a, settings, result));
+    DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
+                         prefetch::SortAnySize(&core, part.a, settings));
+    *compute_cycles = run.cycles;
+    *result = std::move(run.sorted);
     return Status::Ok();
   };
   return ExecutePartitioned(std::move(parts), /*is_sort=*/true,

@@ -143,6 +143,31 @@ TEST(PlannerTest, PartitionRouteNeedsAnIndex) {
             Route::kPartitionProbe);
 }
 
+TEST(PlannerTest, DefaultModelWithoutIndexNeverPicksEis) {
+  // service::RunHostFallbackOp routes degraded-mode intersections with
+  // exactly this planner; it has no processor, so an EIS pick would fail
+  // every degraded intersect with FailedPrecondition.
+  PlannerOptions options;
+  options.cost_model = DefaultCostModel();
+  const Planner planner(options);
+  std::vector<size_t> sizes;
+  for (int k = 0; k <= 20; ++k) {
+    const size_t power = size_t{1} << k;
+    if (power > 1) sizes.push_back(power - 1);
+    sizes.push_back(power);
+    sizes.push_back(power + 1);
+  }
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  for (const size_t a : sizes) {
+    for (const size_t b : sizes) {
+      const Route route = planner.Plan(a, b, /*index_available=*/false).route;
+      EXPECT_TRUE(route == Route::kGalloping || route == Route::kSimdMerge)
+          << a << " x " << b << " -> " << RouteName(route);
+    }
+  }
+}
+
 TEST(PlannerTest, RouteNamesRoundTrip) {
   for (size_t r = 0; r < kNumRoutes; ++r) {
     const Route route = static_cast<Route>(r);

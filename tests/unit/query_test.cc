@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "obs/metrics/metrics.h"
 #include "query/engine.h"
 #include "query/planner.h"
 #include "query/index.h"
@@ -102,8 +103,39 @@ TEST(SecondaryIndexTest, ProbesReturnSortedRids) {
   EXPECT_EQ(index->ProbeRange(1, 3), (std::vector<Rid>{1, 3, 5}));
   EXPECT_EQ(index->ProbeRange(0, 0xFFFFFFFF), index->AllRids());
   EXPECT_TRUE(index->ProbeRange(4, 2).empty());  // inverted range
+  EXPECT_EQ(index->ProbeRange(4, 6), (std::vector<Rid>{0, 2, 4}));
   EXPECT_EQ(*index->MinValue(), 1u);
   EXPECT_EQ(*index->MaxValue(), 5u);
+
+  // Single-value probes skip the RID sort and rely on Build keeping each
+  // value's RIDs ascending: a small domain over many rows gives long
+  // runs of equal values, which an unstable sort would scramble.
+  Table big("big");
+  Random rng(1401);
+  auto column = [&rng] {
+    std::vector<uint32_t> values(10000);
+    for (auto& value : values) value = static_cast<uint32_t>(rng.Uniform(7));
+    return values;
+  };
+  ASSERT_TRUE(big.AddColumn("k", column()).ok());
+  for (int version = 0; version < 2; ++version) {
+    if (version == 1) {
+      ASSERT_TRUE(big.UpdateColumn("k", column()).ok());
+    }
+    auto big_index = SecondaryIndex::Build(big, "k");
+    ASSERT_TRUE(big_index.ok());
+    const std::span<const uint32_t> values = *big.Column("k");
+    for (uint32_t lo = 0; lo < 8; ++lo) {
+      for (uint32_t hi = lo; hi < 8; ++hi) {
+        std::vector<Rid> expected;
+        for (Rid rid = 0; rid < values.size(); ++rid) {
+          if (values[rid] >= lo && values[rid] <= hi) expected.push_back(rid);
+        }
+        EXPECT_EQ(big_index->ProbeRange(lo, hi), expected)
+            << "version " << version << ", [" << lo << ", " << hi << "]";
+      }
+    }
+  }
 }
 
 TEST(SecondaryIndexTest, UnknownColumnFails) {
@@ -397,6 +429,57 @@ TEST_F(QueryEngineTest, ConcurrentJoinKeysMatchesSerial) {
   EXPECT_EQ(parallel_stats.elements_processed,
             serial_stats.elements_processed);
   EXPECT_EQ(parallel_stats.plan, serial_stats.plan);
+}
+
+TEST_F(QueryEngineTest, JoinKeysCountsStreamedMergesLikeOrderedSelect) {
+  // Key columns beyond max_sort_elements() sort in chunks joined by
+  // streamed merges; like SelectValuesOrdered, JoinKeys books each merge
+  // as a set operation over its inputs, in QueryStats and the registry.
+  ASSERT_EQ(processor_->max_sort_elements(), 8184u);
+  Random rng(1402);
+  auto shuffled_keys = [&rng](uint32_t count) {
+    std::vector<uint32_t> keys(count);
+    for (uint32_t i = 0; i < count; ++i) keys[i] = 3 * i + (i % 2);
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+    }
+    return keys;
+  };
+  Table orders2("orders2");
+  Table customers("customers");
+  ASSERT_TRUE(orders2.AddColumn("cust_key", shuffled_keys(20000)).ok());
+  ASSERT_TRUE(customers.AddColumn("key", shuffled_keys(9000)).ok());
+  obs::Counter* setops = obs::MetricsRegistry::Global().GetCounter(
+      "dba_query_setops_total");
+
+  auto sibling = Processor::Create(processor_->kind(),
+                                   processor_->options());
+  ASSERT_TRUE(sibling.ok());
+  common::ThreadPool pool(2);
+  std::vector<QueryStats> runs;
+  for (const int host_threads : {1, 2}) {
+    QueryEngine engine(&orders2, processor_.get());
+    if (host_threads == 2) engine.EnableConcurrentSorts(&pool, sibling->get());
+    const uint64_t setops_before = setops->Value();
+    QueryStats stats;
+    auto keys = engine.JoinKeys("cust_key", customers, "key", &stats);
+    ASSERT_TRUE(keys.ok()) << keys.status();
+    EXPECT_EQ(keys->size(), 9000u);
+    // 20000 keys: 3 chunks, 2 merges; 9000 keys: 2 chunks, 1 merge;
+    // plus the final intersection.
+    EXPECT_EQ(stats.sorts, 5u) << host_threads;
+    EXPECT_EQ(stats.set_operations, 4u) << host_threads;
+    EXPECT_EQ(setops->Value() - setops_before, 4u) << host_threads;
+    // Sorted elements (20000 + 9000), merged inputs ((8184 + 8184) +
+    // (16368 + 3632) and 8184 + 816) and the 20000 x 9000 intersection.
+    EXPECT_EQ(stats.elements_processed, 103368u) << host_threads;
+    runs.push_back(std::move(stats));
+  }
+  EXPECT_EQ(runs[0].sorts, runs[1].sorts);
+  EXPECT_EQ(runs[0].set_operations, runs[1].set_operations);
+  EXPECT_EQ(runs[0].accelerator_cycles, runs[1].accelerator_cycles);
+  EXPECT_EQ(runs[0].elements_processed, runs[1].elements_processed);
+  EXPECT_EQ(runs[0].plan, runs[1].plan);
 }
 
 TEST_F(QueryEngineTest, JoinKeysRejectsDuplicateKeys) {

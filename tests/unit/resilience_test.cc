@@ -12,11 +12,17 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
+#include "prefetch/streaming.h"
+#include "query/engine.h"
+#include "query/predicate.h"
+#include "query/table.h"
 #include "service/query_service.h"
 #include "service/resilience.h"
 #include "service/service_clock.h"
@@ -250,15 +256,129 @@ TEST(HostFallback, BitIdenticalToSerialReference) {
 }
 
 TEST(HostFallback, DegenerateEmptyOperandsMatchBoardSemantics) {
-  const std::vector<uint32_t> some = {3, 7, 9};
+  // Every layer that short-cuts an empty operand answers with one rule.
+  // The expected answers are written out rather than taken from
+  // eis::EmptyOperandResult, so changing the rule for any op fails here
+  // at every layer that runs that op. Cycles are pinned too: a core
+  // charges 3 cycles per 4-element copy beat (the board per partition,
+  // the streamed tail beside its DMA), the query engine charges nothing.
+  const std::vector<uint32_t> a_set = {3, 7, 9, 12, 20};
+  const std::vector<uint32_t> b_set = {2, 4, 10, 15, 30, 31, 40, 41, 50};
   const std::vector<uint32_t> none;
-  EXPECT_EQ(*RunHostFallbackOp(SetOp::kIntersect, some, none),
-            std::vector<uint32_t>{});
-  EXPECT_EQ(*RunHostFallbackOp(SetOp::kUnion, none, some), some);
-  EXPECT_EQ(*RunHostFallbackOp(SetOp::kMerge, some, none), some);
-  EXPECT_EQ(*RunHostFallbackOp(SetOp::kDifference, some, none), some);
-  EXPECT_EQ(*RunHostFallbackOp(SetOp::kDifference, none, some),
-            std::vector<uint32_t>{});
+  enum Empty { kAEmpty, kBEmpty, kBothEmpty };
+  struct Case {
+    SetOp op;
+    Empty empty;
+    std::vector<uint32_t> expected;
+    uint64_t board_cycles;   // Board::RunSetOperation on 4 cores
+    uint64_t batch_cycles;   // one RunSetOperationBatch item
+    uint64_t stream_cycles;  // StreamingSetOperation::Run (DMA-bound)
+  };
+  const std::vector<Case> cases = {
+      {SetOp::kIntersect, kAEmpty, {}, 0, 0, 0},
+      {SetOp::kIntersect, kBEmpty, {}, 0, 0, 0},
+      {SetOp::kIntersect, kBothEmpty, {}, 0, 0, 0},
+      {SetOp::kUnion, kAEmpty, b_set, 12, 9, 34},
+      {SetOp::kUnion, kBEmpty, a_set, 12, 6, 33},
+      {SetOp::kUnion, kBothEmpty, {}, 0, 0, 0},
+      {SetOp::kDifference, kAEmpty, {}, 0, 0, 0},
+      {SetOp::kDifference, kBEmpty, a_set, 12, 6, 33},
+      {SetOp::kDifference, kBothEmpty, {}, 0, 0, 0},
+      {SetOp::kMerge, kAEmpty, b_set, 12, 9, 34},
+      {SetOp::kMerge, kBEmpty, a_set, 12, 6, 33},
+      {SetOp::kMerge, kBothEmpty, {}, 0, 0, 0},
+  };
+
+  system::BoardConfig board_config;
+  board_config.num_cores = 4;
+  board_config.host_threads = 1;
+  auto board = system::Board::Create(board_config);
+  ASSERT_TRUE(board.ok()) << board.status();
+  auto processor = Processor::Create(ProcessorKind::kDba2LsuEis);
+  ASSERT_TRUE(processor.ok()) << processor.status();
+  prefetch::StreamingSetOperation streaming(processor->get(),
+                                            prefetch::DmaConfig{});
+
+  // RID sets for the query engine: ka = 1 selects a_set, kb = 1 selects
+  // b_set, and 99 selects nothing.
+  query::Table table("t");
+  std::vector<uint32_t> ka(64, 0);
+  std::vector<uint32_t> kb(64, 0);
+  for (const uint32_t rid : a_set) ka[rid] = 1;
+  for (const uint32_t rid : b_set) kb[rid] = 1;
+  ASSERT_TRUE(table.AddColumn("ka", std::move(ka)).ok());
+  ASSERT_TRUE(table.AddColumn("kb", std::move(kb)).ok());
+  query::QueryEngine engine(&table, processor->get());
+  ASSERT_TRUE(engine.BuildIndex("ka").ok());
+  ASSERT_TRUE(engine.BuildIndex("kb").ok());
+
+  for (const Case& c : cases) {
+    const std::span<const uint32_t> a =
+        c.empty == kBEmpty ? std::span<const uint32_t>(a_set) : none;
+    const std::span<const uint32_t> b =
+        c.empty == kAEmpty ? std::span<const uint32_t>(b_set) : none;
+    const std::string label = std::string(eis::SopModeName(c.op)) +
+                              (c.empty == kAEmpty   ? " A empty"
+                               : c.empty == kBEmpty ? " B empty"
+                                                    : " both empty");
+
+    auto rule = eis::EmptyOperandResult(c.op, a, b);
+    ASSERT_TRUE(rule.ok()) << label;
+    EXPECT_EQ(std::vector<uint32_t>(rule->begin(), rule->end()), c.expected)
+        << "rule: " << label;
+
+    auto board_run = (*board)->RunSetOperation(c.op, a, b);
+    ASSERT_TRUE(board_run.ok()) << label << ": " << board_run.status();
+    EXPECT_EQ(board_run->result, c.expected) << "board: " << label;
+    EXPECT_EQ(board_run->total_core_cycles, c.board_cycles)
+        << "board: " << label;
+
+    system::Board::BatchItem item;
+    item.op = c.op;
+    item.a = a;
+    item.b = b;
+    auto batch = (*board)->RunSetOperationBatch({&item, 1});
+    ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
+    EXPECT_EQ(batch->results[0], c.expected) << "batch: " << label;
+    EXPECT_EQ(batch->run.total_core_cycles, c.batch_cycles)
+        << "batch: " << label;
+
+    auto streamed = streaming.Run(c.op, a, b);
+    ASSERT_TRUE(streamed.ok()) << label << ": " << streamed.status();
+    EXPECT_EQ(streamed->result, c.expected) << "streaming: " << label;
+    EXPECT_EQ(streamed->total_cycles, c.stream_cycles)
+        << "streaming: " << label;
+
+    // AND / OR / AND NOT over one leaf that matches nothing (AND
+    // intersects smallest first, so its empty leaf is always A; merge
+    // has no predicate form).
+    auto leaf = [](const char* column, bool empty) {
+      return query::Equals(column, empty ? 99 : 1);
+    };
+    const bool a_empty = c.empty != kBEmpty;
+    const bool b_empty = c.empty != kAEmpty;
+    query::PredicatePtr predicate;
+    if (c.op == SetOp::kIntersect) {
+      predicate = query::And(leaf("ka", a_empty), leaf("kb", b_empty));
+    } else if (c.op == SetOp::kUnion) {
+      predicate = query::Or(leaf("ka", a_empty), leaf("kb", b_empty));
+    } else if (c.op == SetOp::kDifference) {
+      predicate = query::And(leaf("ka", a_empty),
+                             query::Not(leaf("kb", b_empty)));
+    }
+    if (predicate != nullptr) {
+      query::QueryStats stats;
+      auto selected = engine.Select(*predicate, &stats);
+      ASSERT_TRUE(selected.ok()) << label << ": " << selected.status();
+      EXPECT_EQ(*selected, c.expected) << "engine: " << label;
+      EXPECT_EQ(stats.accelerator_cycles, 0u) << "engine: " << label;
+      EXPECT_EQ(stats.set_operations, 0u) << "engine: " << label;
+    }
+
+    auto fallback = RunHostFallbackOp(c.op, a, b);
+    ASSERT_TRUE(fallback.ok()) << label << ": " << fallback.status();
+    EXPECT_EQ(*fallback, c.expected) << "fallback: " << label;
+  }
 }
 
 // --- Board recovery deadline budget ----------------------------------------
