@@ -34,6 +34,14 @@ enum class StatusCode : uint8_t {
 /// Returns a short human-readable name for `code` ("OK", "InvalidArgument"...).
 std::string_view StatusCodeToString(StatusCode code);
 
+/// Failure codes worth re-executing: the attempt may succeed on a retry
+/// (a tripped watchdog, a dropped transfer, detected data corruption).
+/// Anything else -- bad inputs, missing indexes, sheds -- fails at once.
+inline bool IsTransient(StatusCode code) {
+  return code == StatusCode::kDeadlineExceeded ||
+         code == StatusCode::kUnavailable || code == StatusCode::kDataLoss;
+}
+
 /// Lightweight status object modelled after absl::Status / rocksdb::Status.
 ///
 /// The library does not use exceptions: fallible operations return `Status`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <numeric>
 
 #include "obs/metrics/metrics.h"
@@ -17,15 +18,13 @@ double ElapsedNs(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double, std::nano>(end - begin).count();
 }
 
-// Registered once; hot-path cost is one relaxed fetch_add per set op /
-// sort / query.  Latency histograms observe *simulated* accelerator
-// cycles, so registry snapshots stay deterministic across host threads.
+// Registered once; hot-path cost is one relaxed fetch_add per booked
+// field.  Latency histograms observe *simulated* accelerator cycles, so
+// registry snapshots stay deterministic across host threads.
 struct QueryInstrumentSet {
   obs::Counter* setops;
   obs::Counter* sorts;
   obs::Counter* retries;
-  obs::Counter* concurrent_sort_pairs;
-  obs::Gauge* sort_concurrency;
   obs::Histogram* latency;
 };
 
@@ -40,12 +39,6 @@ const QueryInstrumentSet& QueryInstruments() {
     out.retries = registry.GetCounter(
         "dba_query_retries_total",
         "Transient-failure retries across set ops and sorts.");
-    out.concurrent_sort_pairs = registry.GetCounter(
-        "dba_query_concurrent_sort_pairs_total",
-        "JoinKeys column-sort pairs run on concurrent host threads.");
-    out.sort_concurrency = registry.GetGauge(
-        "dba_query_sort_concurrency",
-        "Host threads used by the last JoinKeys column sort (1 or 2).");
     out.latency = registry.GetHistogram(
         "dba_query_latency_cycles",
         "Simulated accelerator cycles per public query.");
@@ -110,24 +103,76 @@ obs::Counter* QueryCounter(std::string_view op) {
   return select_ordered;
 }
 
-void AddPlanStep(QueryStats* stats, std::string step) {
-  if (stats != nullptr) stats->plan.push_back(std::move(step));
+/// Books one completed step: adds its delta to the query's `stats` and
+/// the same fields to the registry counters, so the two cannot drift.
+/// accelerator_seconds is derived from the cycles by RunQuery.
+void Book(QueryStats* stats, QueryStats&& step) {
+  const QueryInstrumentSet& query = QueryInstruments();
+  query.setops->Increment(step.set_operations);
+  query.sorts->Increment(step.sorts);
+  query.retries->Increment(step.retries);
+  // The planner's instruments register on its first booking, so an
+  // engine without the planner leaves them out of registry snapshots.
+  if (step.planned_ops != 0 || step.partition_index_builds != 0) {
+    const PlanInstrumentSet& plan = PlanInstruments();
+    for (size_t r = 0; r < kNumRoutes; ++r) {
+      plan.route_total[r]->Increment(step.route_counts[r]);
+    }
+    plan.index_builds->Increment(step.partition_index_builds);
+  }
+
+  stats->index_probes += step.index_probes;
+  stats->set_operations += step.set_operations;
+  stats->sorts += step.sorts;
+  stats->retries += step.retries;
+  stats->accelerator_cycles += step.accelerator_cycles;
+  stats->elements_processed += step.elements_processed;
+  stats->plan.insert(stats->plan.end(),
+                     std::make_move_iterator(step.plan.begin()),
+                     std::make_move_iterator(step.plan.end()));
+  stats->planned_ops += step.planned_ops;
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    stats->route_counts[r] += step.route_counts[r];
+  }
+  stats->partition_index_builds += step.partition_index_builds;
+  stats->host_route_seconds += step.host_route_seconds;
 }
 
-/// Failure codes worth re-executing: the attempt may succeed on a retry
-/// (a tripped watchdog, a dropped transfer, detected data corruption).
-/// Anything else -- bad inputs, missing indexes -- fails immediately.
-bool IsTransient(StatusCode code) {
-  return code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kUnavailable || code == StatusCode::kDataLoss;
+/// Adds one set operation to `step`: `label` ("union", "intersect[...]")
+/// over |a| x |b| input elements producing `result` RIDs.
+void CountSetOp(QueryStats* step, const std::string& label, size_t a,
+                size_t b, size_t result, uint64_t cycles, bool streamed) {
+  ++step->set_operations;
+  step->accelerator_cycles += cycles;
+  step->elements_processed += a + b;
+  step->plan.push_back(label + " " + std::to_string(a) + " x " +
+                       std::to_string(b) + " -> " + std::to_string(result) +
+                       " RIDs" + (streamed ? " [streamed]" : ""));
 }
 
-/// The attempt's settings: the base watchdog budget doubles with every
-/// retry (a genuine slow run eventually fits; a real hang keeps failing).
-RunSettings AttemptSettings(const RunSettings& base, int attempt) {
-  RunSettings settings = base;
-  settings.max_cycles = base.max_cycles << attempt;
-  return settings;
+/// The one public-query frame: runs `body` against the caller's stats (a
+/// local one when the caller passed none, so the per-query latency delta
+/// is well defined even for callers that accumulate stats across
+/// queries). On success it derives accelerator_seconds and counts the
+/// query in dba_query_queries_total{op} and the latency histogram.
+template <typename Body>
+Result<std::vector<uint32_t>> RunQuery(std::string_view op,
+                                       double frequency_hz,
+                                       QueryStats* stats, const Body& body) {
+  QueryStats local_stats;
+  QueryStats* s = stats != nullptr ? stats : &local_stats;
+  const uint64_t cycles_before = s->accelerator_cycles;
+  Result<std::vector<uint32_t>> out = body(s);
+  if (!out.ok()) return out;
+  s->accelerator_seconds =
+      static_cast<double>(s->accelerator_cycles) / frequency_hz;
+  QueryCounter(op)->Increment();
+  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
+  return out;
+}
+
+std::string EisFaultKey(SetOp op) {
+  return "eis:" + std::string(eis::SopModeName(op));
 }
 
 }  // namespace
@@ -167,10 +212,32 @@ Status QueryEngine::RefreshIndexIfStale(const std::string& column) {
   return Status::Ok();
 }
 
-Status QueryEngine::ConsultFaultHook(std::string_view key,
-                                     int attempt) const {
-  if (!attempt_fault_hook_) return Status::Ok();
-  return attempt_fault_hook_(key, attempt);
+template <typename Attempt>
+std::invoke_result_t<const Attempt&, const RunSettings&>
+QueryEngine::RunAttempts(std::string_view fault_key,
+                         std::string_view retry_note, QueryStats* step,
+                         const Attempt& attempt) {
+  for (int k = 0;; ++k) {
+    // The watchdog budget doubles with every retry: a genuinely slow run
+    // eventually fits; a real hang keeps failing.
+    RunSettings settings = run_settings_;
+    settings.max_cycles = run_settings_.max_cycles << k;
+    const Status injected = fault_key.empty() || !attempt_fault_hook_
+                                ? Status::Ok()
+                                : attempt_fault_hook_(fault_key, k);
+    std::invoke_result_t<const Attempt&, const RunSettings&> run =
+        injected.ok() ? attempt(settings) : injected;
+    if (run.ok()) {
+      step->retries += static_cast<uint32_t>(k);
+      return run;
+    }
+    const StatusCode code = run.status().code();
+    if (!IsTransient(code) || k + 1 >= max_attempts_) return run;
+    if (!retry_note.empty()) {
+      step->plan.push_back("retry " + std::string(retry_note) + " after " +
+                           std::string(StatusCodeToString(code)));
+    }
+  }
 }
 
 Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
@@ -204,37 +271,12 @@ Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
   out.column = leaf.column;
   out.probe_key =
       leaf.column + ":" + std::to_string(lo) + ":" + std::to_string(hi);
-  if (stats != nullptr) {
-    ++stats->index_probes;
-    AddPlanStep(stats, "probe " + leaf.ToString() + " -> " +
-                           std::to_string(out.rids.size()) + " RIDs");
-  }
+  QueryStats step;
+  step.index_probes = 1;
+  step.plan.push_back("probe " + leaf.ToString() + " -> " +
+                      std::to_string(out.rids.size()) + " RIDs");
+  Book(stats, std::move(step));
   return out;
-}
-
-Result<QueryEngine::EisExecution> QueryEngine::ExecuteEis(
-    SetOp op, std::span<const Rid> a, std::span<const Rid> b) {
-  Status last_error = Status::Internal("no attempt executed");
-  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
-    const Status injected = ConsultFaultHook(
-        std::string("eis:") + std::string(eis::SopModeName(op)), attempt);
-    Result<prefetch::AnySizeRun> run =
-        !injected.ok() ? Result<prefetch::AnySizeRun>(injected)
-                       : prefetch::RunSetOperationAnySize(
-                             processor_, op, a, b,
-                             AttemptSettings(run_settings_, attempt));
-    if (run.ok()) {
-      EisExecution out;
-      out.result = std::move(run->result);
-      out.cycles = run->cycles;
-      out.streamed = run->streamed;
-      out.attempts_used = attempt + 1;
-      return out;
-    }
-    last_error = run.status();
-    if (!IsTransient(last_error.code())) return last_error;
-  }
-  return last_error;
 }
 
 Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
@@ -244,9 +286,11 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
   if (a.rids.empty() || b.rids.empty()) {
     DBA_ASSIGN_OR_RETURN(std::span<const Rid> kept,
                          eis::EmptyOperandResult(op, a.rids, b.rids));
-    AddPlanStep(stats, std::string(eis::SopModeName(op)) +
-                           " (degenerate) -> " +
-                           std::to_string(kept.size()) + " RIDs");
+    QueryStats step;
+    step.plan.push_back(std::string(eis::SopModeName(op)) +
+                        " (degenerate) -> " + std::to_string(kept.size()) +
+                        " RIDs");
+    Book(stats, std::move(step));
     return std::vector<Rid>(kept.begin(), kept.end());
   }
 
@@ -256,21 +300,17 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
     return RunPlannedIntersect(a, b, stats);
   }
 
-  DBA_ASSIGN_OR_RETURN(EisExecution run, ExecuteEis(op, a.rids, b.rids));
-  QueryInstruments().setops->Increment();
-  QueryInstruments().retries->Increment(
-      static_cast<uint64_t>(run.attempts_used - 1));
-  if (stats != nullptr) {
-    stats->retries += static_cast<uint32_t>(run.attempts_used - 1);
-    ++stats->set_operations;
-    stats->accelerator_cycles += run.cycles;
-    stats->elements_processed += a.rids.size() + b.rids.size();
-    AddPlanStep(stats, std::string(eis::SopModeName(op)) + " " +
-                           std::to_string(a.rids.size()) + " x " +
-                           std::to_string(b.rids.size()) + " -> " +
-                           std::to_string(run.result.size()) + " RIDs" +
-                           (run.streamed ? " [streamed]" : ""));
-  }
+  QueryStats step;
+  DBA_ASSIGN_OR_RETURN(
+      prefetch::AnySizeRun run,
+      RunAttempts(EisFaultKey(op), "", &step,
+                  [&](const RunSettings& settings) {
+                    return prefetch::RunSetOperationAnySize(
+                        processor_, op, a.rids, b.rids, settings);
+                  }));
+  CountSetOp(&step, std::string(eis::SopModeName(op)), a.rids.size(),
+             b.rids.size(), run.result.size(), run.cycles, run.streamed);
+  Book(stats, std::move(step));
   return std::move(run.result);
 }
 
@@ -326,102 +366,66 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
       decision.index_available = true;
       decision.chosen_ns =
           decision.estimated_ns[static_cast<size_t>(Route::kPartitionProbe)];
-      plan_metrics.index_builds->Increment();
-      if (stats != nullptr) ++stats->partition_index_builds;
-      AddPlanStep(stats, "build partition index on " + column + " (" +
-                             std::to_string(large.rids.size()) + " entries)");
+      QueryStats build;
+      build.partition_index_builds = 1;
+      build.plan.push_back("build partition index on " + column + " (" +
+                           std::to_string(large.rids.size()) + " entries)");
+      Book(stats, std::move(build));
     }
     state.missed_savings_ns = meter.missed_savings_ns();
   }
 
-  // Execute the chosen route. Every route runs under the engine's
-  // transient-failure retry budget (SetMaxAttempts): the EIS route
-  // retries inside ExecuteEis, and host routes retry here under the
-  // same policy -- retry accounting must not depend on where the
-  // planner happened to send the work.
-  const uint64_t cycles_base =
-      stats != nullptr ? stats->accelerator_cycles : 0;
-  std::vector<Rid> result;
-  uint64_t cycles = 0;
-  double route_seconds = 0;
-  bool streamed = false;
-  int attempts_used = 1;
-  if (decision.route == Route::kEisMerge) {
-    DBA_ASSIGN_OR_RETURN(EisExecution run,
-                         ExecuteEis(SetOp::kIntersect, a.rids, b.rids));
-    result = std::move(run.result);
-    cycles = run.cycles;
-    streamed = run.streamed;
-    attempts_used = run.attempts_used;
-    route_seconds = static_cast<double>(cycles) / processor_->frequency_hz();
-    plan_metrics.eis_cycles->Observe(cycles);
-  } else {
-    // The partition route probes the (cached or transient) index over
-    // the larger operand with the smaller; the merge-family host routes
-    // are symmetric and take the operands as-is.
-    const std::string hook_key =
-        "route:" + std::string(RouteName(decision.route));
-    Status last_error = Status::Internal("no attempt executed");
-    bool done = false;
-    for (int attempt = 0; attempt < max_attempts_ && !done; ++attempt) {
-      attempts_used = attempt + 1;
-      const Status injected = ConsultFaultHook(hook_key, attempt);
-      Result<RouteRun> run =
-          !injected.ok() ? Result<RouteRun>(injected)
-          : decision.route == Route::kPartitionProbe
-              ? RunIntersectRoute(decision.route, small.rids, large.rids,
-                                  processor_, run_settings_, index)
-              : RunIntersectRoute(decision.route, a.rids, b.rids, processor_,
-                                  run_settings_);
-      if (run.ok()) {
-        result = std::move(run->result);
-        route_seconds = run->route_seconds + run->build_seconds;
-        done = true;
-      } else {
-        last_error = run.status();
-        if (!IsTransient(last_error.code())) return last_error;
-      }
-    }
-    if (!done) return last_error;
-  }
-
-  const size_t route_idx = static_cast<size_t>(decision.route);
-  plan_metrics.route_total[route_idx]->Increment();
+  // Execute the chosen route through the attempt ladder, under the EIS
+  // fault key for the EIS route and the route's own key otherwise. The
+  // partition route probes the (cached or transient) index over the
+  // larger operand with the smaller; the other routes are symmetric and
+  // take the operands as-is.
+  const Route route = decision.route;
+  const std::string route_name(RouteName(route));
+  QueryStats step;
+  DBA_ASSIGN_OR_RETURN(
+      RouteRun run,
+      RunAttempts(route == Route::kEisMerge ? EisFaultKey(SetOp::kIntersect)
+                                            : "route:" + route_name,
+                  "", &step, [&](const RunSettings& settings) {
+                    return route == Route::kPartitionProbe
+                               ? RunIntersectRoute(route, small.rids,
+                                                   large.rids, processor_,
+                                                   settings, index)
+                               : RunIntersectRoute(route, a.rids, b.rids,
+                                                   processor_, settings);
+                  }));
+  const double route_seconds = run.route_seconds + run.build_seconds;
+  const size_t route_idx = static_cast<size_t>(route);
   plan_metrics.route_wall_ns[route_idx]->Observe(
       static_cast<uint64_t>(route_seconds * 1e9));
-  QueryInstruments().setops->Increment();
-  QueryInstruments().retries->Increment(
-      static_cast<uint64_t>(attempts_used - 1));
-  if (stats != nullptr) {
-    stats->retries += static_cast<uint32_t>(attempts_used - 1);
-    ++stats->set_operations;
-    ++stats->planned_ops;
-    ++stats->route_counts[route_idx];
-    stats->accelerator_cycles += cycles;
-    stats->elements_processed += a.rids.size() + b.rids.size();
-    if (decision.route != Route::kEisMerge) {
-      stats->host_route_seconds += route_seconds;
-    }
-    AddPlanStep(stats, "intersect[" + std::string(RouteName(decision.route)) +
-                           (decision.forced ? ", forced" : "") + "] " +
-                           std::to_string(a.rids.size()) + " x " +
-                           std::to_string(b.rids.size()) + " -> " +
-                           std::to_string(result.size()) + " RIDs" +
-                           (streamed ? " [streamed]" : ""));
+  if (route == Route::kEisMerge) {
+    plan_metrics.eis_cycles->Observe(run.accelerator_cycles);
   }
   if (run_settings_.trace_sink != nullptr) {
     // Planner span on the simulated timeline: EIS spans are exact; host
     // routes are rendered at their wall-equivalent width in cycles.
+    const uint64_t cycles_base = stats->accelerator_cycles;
     const uint64_t width =
-        decision.route == Route::kEisMerge
-            ? cycles
+        route == Route::kEisMerge
+            ? run.accelerator_cycles
             : static_cast<uint64_t>(route_seconds *
                                     processor_->frequency_hz());
-    run_settings_.trace_sink->BeginRegion(
-        cycles_base, "plan[" + std::string(RouteName(decision.route)) + "]");
+    run_settings_.trace_sink->BeginRegion(cycles_base,
+                                          "plan[" + route_name + "]");
     run_settings_.trace_sink->EndRegion(cycles_base + width);
   }
-  return result;
+
+  CountSetOp(&step,
+             "intersect[" + route_name + (decision.forced ? ", forced" : "") +
+                 "]",
+             a.rids.size(), b.rids.size(), run.result.size(),
+             run.accelerator_cycles, run.streamed);
+  step.planned_ops = 1;
+  step.route_counts[route_idx] = 1;
+  if (route != Route::kEisMerge) step.host_route_seconds = route_seconds;
+  Book(stats, std::move(step));
+  return std::move(run.result);
 }
 
 Result<std::vector<Rid>> QueryEngine::Complement(const std::vector<Rid>& rids,
@@ -530,220 +534,98 @@ ColumnIndexState QueryEngine::partition_state(
 
 Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,
                                              QueryStats* stats) {
-  // Telemetry always flows through a stats object (a local one when the
-  // caller passed none) so the per-query latency delta is well defined
-  // even for callers that accumulate stats across queries.
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("select")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return std::move(matched.rids);
+  return RunQuery("select", processor_->frequency_hz(), stats,
+                  [&](QueryStats* s) -> Result<std::vector<Rid>> {
+                    DBA_ASSIGN_OR_RETURN(Operand matched,
+                                         Evaluate(predicate, s));
+                    return std::move(matched.rids);
+                  });
 }
 
-std::future<Result<std::vector<Rid>>> QueryEngine::Submit(
-    std::shared_ptr<const Predicate> predicate) {
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<Rid>>>>();
-  std::future<Result<std::vector<Rid>>> future = promise->get_future();
-  auto task = [this, predicate = std::move(predicate), promise] {
-    if (predicate == nullptr) {
-      promise->set_value(
-          Status::InvalidArgument("Submit requires a predicate"));
-      return;
-    }
-    std::lock_guard<std::mutex> lock(submit_mutex_);
-    promise->set_value(Select(*predicate));
-  };
-  if (pool_ != nullptr) {
-    pool_->Run(std::move(task));
-  } else {
-    task();
-  }
-  return future;
-}
-
-namespace {
-
-/// Adds every counter of `from` to `into` and appends its plan steps.
-/// accelerator_seconds is derived from the cycles by the caller.
-void AccumulateStats(QueryStats* into, const QueryStats& from) {
-  into->index_probes += from.index_probes;
-  into->set_operations += from.set_operations;
-  into->sorts += from.sorts;
-  into->retries += from.retries;
-  into->accelerator_cycles += from.accelerator_cycles;
-  into->elements_processed += from.elements_processed;
-  into->plan.insert(into->plan.end(), from.plan.begin(), from.plan.end());
-  into->planned_ops += from.planned_ops;
-  for (size_t r = 0; r < kNumRoutes; ++r) {
-    into->route_counts[r] += from.route_counts[r];
-  }
-  into->partition_index_builds += from.partition_index_builds;
-  into->host_route_seconds += from.host_route_seconds;
-}
-
-/// Sorts `values` with the accelerator (chunked beyond the local store,
-/// runs joined by streamed merges) and books the sort into `stats`
-/// (may be null) and the registry: one sort per chunk, one set
-/// operation per merge, and every sorted or merged input element.
-Result<prefetch::AnySizeSortRun> RunCountedSort(
-    Processor* processor, std::span<const uint32_t> values,
-    const RunSettings& settings, QueryStats* stats) {
-  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
-                       prefetch::SortAnySize(processor, values, settings));
-  const uint32_t merges = run.chunks - 1;
-  QueryInstruments().sorts->Increment(run.chunks);
-  QueryInstruments().setops->Increment(merges);
-  if (stats != nullptr) {
-    stats->sorts += run.chunks;
-    stats->set_operations += merges;
-    stats->accelerator_cycles += run.cycles;
-    stats->elements_processed += values.size() + run.merged_elements;
-  }
+Result<prefetch::AnySizeSortRun> QueryEngine::RunSort(
+    std::span<const uint32_t> values, std::string_view retry_note,
+    QueryStats* step) {
+  DBA_ASSIGN_OR_RETURN(
+      prefetch::AnySizeSortRun run,
+      RunAttempts("", retry_note, step, [&](const RunSettings& settings) {
+        return prefetch::SortAnySize(processor_, values, settings);
+      }));
+  // One sort per chunk, one set operation per streamed merge, and every
+  // sorted or merged input element.
+  step->sorts += run.chunks;
+  step->set_operations += run.chunks - 1;
+  step->accelerator_cycles += run.cycles;
+  step->elements_processed += values.size() + run.merged_elements;
   return run;
 }
-
-/// Sorts one key column on `processor` and verifies uniqueness.
-/// Telemetry lands in the caller-provided `stats` (may be null) so two
-/// columns can sort on concurrent host threads into separate stats,
-/// merged after the join in left-right order -- keeping plans and
-/// counters identical to the serial engine.
-Result<std::vector<uint32_t>> SortUniqueKeysOnce(
-    Processor* processor, const Table& table, const std::string& key_column,
-    const RunSettings& settings, QueryStats* stats) {
-  DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
-                       table.Column(key_column));
-  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
-                       RunCountedSort(processor, values, settings, stats));
-  const std::vector<uint32_t>& sorted = run.sorted;
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument(
-          "JoinKeys requires unique keys; column '" + key_column +
-          "' of table '" + table.name() + "' has duplicates");
-    }
-  }
-  AddPlanStep(stats, "sort join keys of " + table.name() + "." +
-                         key_column + " (" +
-                         std::to_string(sorted.size()) + " keys)");
-  return std::move(run.sorted);
-}
-
-/// SortUniqueKeysOnce with transient-failure retry: each attempt runs
-/// with a doubled watchdog budget into fresh per-attempt stats, so a
-/// failed attempt leaves the caller's telemetry untouched (only the
-/// retry counter and a plan note record that it happened).
-Result<std::vector<uint32_t>> SortUniqueKeys(Processor* processor,
-                                             const Table& table,
-                                             const std::string& key_column,
-                                             const RunSettings& base_settings,
-                                             int max_attempts,
-                                             QueryStats* stats) {
-  Status last_error = Status::Internal("no attempt executed");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    QueryStats attempt_stats;
-    Result<std::vector<uint32_t>> sorted = SortUniqueKeysOnce(
-        processor, table, key_column, AttemptSettings(base_settings, attempt),
-        stats != nullptr ? &attempt_stats : nullptr);
-    if (sorted.ok()) {
-      QueryInstruments().retries->Increment(static_cast<uint64_t>(attempt));
-      if (stats != nullptr) {
-        stats->retries += static_cast<uint32_t>(attempt);
-        AccumulateStats(stats, attempt_stats);
-      }
-      return sorted;
-    }
-    last_error = sorted.status();
-    if (!IsTransient(last_error.code())) return last_error;
-    AddPlanStep(stats, "retry sort of " + table.name() + "." + key_column +
-                           " after " +
-                           std::string(StatusCodeToString(
-                               last_error.code())));
-  }
-  return last_error;
-}
-
-}  // namespace
 
 Result<std::vector<uint32_t>> QueryEngine::JoinKeys(
     const std::string& column, const Table& other,
     const std::string& other_column, QueryStats* stats) {
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  Result<std::vector<uint32_t>> left = Status::Internal("unset");
-  Result<std::vector<uint32_t>> right = Status::Internal("unset");
-  QueryStats left_stats;
-  QueryStats right_stats;
-  const bool concurrent = pool_ != nullptr && sibling_ != nullptr;
-  QueryInstruments().sort_concurrency->Set(concurrent ? 2.0 : 1.0);
-  if (concurrent) {
-    QueryInstruments().concurrent_sort_pairs->Increment();
-    // The two column sorts are independent: run them on concurrent host
-    // threads, the second on the sibling processor. Each side writes
-    // only its own result slot and stats.
-    pool_->ParallelFor(2, [&](size_t side) {
-      if (side == 0) {
-        left = SortUniqueKeys(processor_, *table_, column, run_settings_,
-                              max_attempts_, &left_stats);
-      } else {
-        right = SortUniqueKeys(sibling_, other, other_column, run_settings_,
-                               max_attempts_, &right_stats);
-      }
-    });
-  } else {
-    left = SortUniqueKeys(processor_, *table_, column, run_settings_,
-                          max_attempts_, &left_stats);
-    right = SortUniqueKeys(sibling_ != nullptr ? sibling_ : processor_,
-                           other, other_column, run_settings_, max_attempts_,
-                           &right_stats);
-  }
-  DBA_RETURN_IF_ERROR(left.status());
-  DBA_RETURN_IF_ERROR(right.status());
-  AccumulateStats(s, left_stats);
-  AccumulateStats(s, right_stats);
-  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> keys,
-                       RunSetOp(SetOp::kIntersect, *left, *right, s));
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("join_keys")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return keys;
+  // Sorts one key column and checks it for duplicates; a sort whose keys
+  // are not unique is discarded unbooked.
+  const auto sort_unique_keys =
+      [this](const Table& table, const std::string& key_column,
+             QueryStats* s) -> Result<std::vector<uint32_t>> {
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
+                         table.Column(key_column));
+    const std::string name = table.name() + "." + key_column;
+    QueryStats step;
+    DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
+                         RunSort(values, "sort of " + name, &step));
+    if (std::adjacent_find(run.sorted.begin(), run.sorted.end()) !=
+        run.sorted.end()) {
+      return Status::InvalidArgument(
+          "JoinKeys requires unique keys; column '" + key_column +
+          "' of table '" + table.name() + "' has duplicates");
+    }
+    step.plan.push_back("sort join keys of " + name + " (" +
+                        std::to_string(run.sorted.size()) + " keys)");
+    Book(s, std::move(step));
+    return std::move(run.sorted);
+  };
+  return RunQuery("join_keys", processor_->frequency_hz(), stats,
+                  [&](QueryStats* s) -> Result<std::vector<uint32_t>> {
+                    DBA_ASSIGN_OR_RETURN(
+                        std::vector<uint32_t> left,
+                        sort_unique_keys(*table_, column, s));
+                    DBA_ASSIGN_OR_RETURN(
+                        std::vector<uint32_t> right,
+                        sort_unique_keys(other, other_column, s));
+                    return RunSetOp(SetOp::kIntersect, left, right, s);
+                  });
 }
 
 Result<std::vector<uint32_t>> QueryEngine::SelectValuesOrdered(
     const Predicate& predicate, const std::string& order_by,
     QueryStats* stats) {
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
-  const std::vector<Rid>& rids = matched.rids;
-  DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> column,
-                       table_->Column(order_by));
+  return RunQuery(
+      "select_values_ordered", processor_->frequency_hz(), stats,
+      [&](QueryStats* s) -> Result<std::vector<uint32_t>> {
+        DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
+        DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> column,
+                             table_->Column(order_by));
 
-  // Gather the qualifying values (in hardware: a prefetcher gather).
-  std::vector<uint32_t> values;
-  values.reserve(rids.size());
-  for (Rid rid : rids) values.push_back(column[rid]);
+        // Gather the qualifying values (in hardware: a prefetcher gather).
+        std::vector<uint32_t> values;
+        values.reserve(matched.rids.size());
+        for (Rid rid : matched.rids) values.push_back(column[rid]);
 
-  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
-                       RunCountedSort(processor_, values, run_settings_, s));
-  AddPlanStep(s, run.chunks == 1
-                     ? "sort " + std::to_string(values.size()) +
-                           " values on " + order_by
-                     : "external sort of " + std::to_string(values.size()) +
-                           " values (" + std::to_string(run.chunks) +
-                           " chunks, streamed merges)");
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("select_values_ordered")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return std::move(run.sorted);
+        QueryStats step;
+        DBA_ASSIGN_OR_RETURN(
+            prefetch::AnySizeSortRun run,
+            RunSort(values, "sort of " + table_->name() + "." + order_by,
+                    &step));
+        step.plan.push_back(
+            run.chunks == 1
+                ? "sort " + std::to_string(values.size()) + " values on " +
+                      order_by
+                : "external sort of " + std::to_string(values.size()) +
+                      " values (" + std::to_string(run.chunks) +
+                      " chunks, streamed merges)");
+        Book(s, std::move(step));
+        return std::move(run.sorted);
+      });
 }
 
 }  // namespace dba::query

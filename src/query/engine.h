@@ -1,19 +1,19 @@
 #ifndef DBA_QUERY_ENGINE_H_
 #define DBA_QUERY_ENGINE_H_
 
-#include <future>
+#include <array>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
-#include <array>
-
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/processor.h"
 #include "fault/fault.h"
+#include "prefetch/streaming.h"
 #include "query/index.h"
 #include "query/partition_index.h"
 #include "query/planner.h"
@@ -22,7 +22,10 @@
 
 namespace dba::query {
 
-/// Execution statistics of one query.
+/// Execution statistics of one query. The engine books every completed
+/// step once: its delta lands here and, field for field, in the
+/// dba_query_{setops,sorts,retries}_total, dba_query_plan_total{route}
+/// and dba_query_partition_index_builds_total registry counters.
 struct QueryStats {
   uint32_t index_probes = 0;
   uint32_t set_operations = 0;
@@ -34,8 +37,7 @@ struct QueryStats {
   std::vector<std::string> plan;     // rendered execution steps
   // --- Adaptive-planner telemetry (EnableAdaptivePlanner) ---
   uint32_t planned_ops = 0;          // intersections routed by the planner
-  /// Executions per route, indexed by Route; always sums to planned_ops
-  /// and matches the dba_query_plan_total{route=...} counter deltas.
+  /// Executions per route, indexed by Route; always sums to planned_ops.
   std::array<uint32_t, kNumRoutes> route_counts{};
   uint32_t partition_index_builds = 0;  // lazy indexes materialized
   double host_route_seconds = 0;     // wall time spent in host routes
@@ -81,16 +83,6 @@ class QueryEngine {
   Result<std::vector<Rid>> Select(const Predicate& predicate,
                                   QueryStats* stats = nullptr);
 
-  /// Async Select: evaluates `predicate` on a host thread when a pool
-  /// was provided via EnableConcurrentSorts, inline otherwise, and
-  /// resolves the future with the same result Select would return.
-  /// Concurrent Submit calls are serialized by an internal mutex (one
-  /// engine drives one processor); mixing Submit with direct synchronous
-  /// calls while a submission is in flight is the caller's race to avoid.
-  /// For a queued, batched, multi-tenant frontend see service::QueryService.
-  std::future<Result<std::vector<Rid>>> Submit(
-      std::shared_ptr<const Predicate> predicate);
-
   /// SELECT <order_by> FROM t WHERE <predicate> ORDER BY <order_by>:
   /// gathers the qualifying rows' values of `order_by` and sorts them on
   /// the accelerator. Inputs beyond the local store sort in chunks whose
@@ -107,19 +99,6 @@ class QueryEngine {
                                          const Table& other,
                                          const std::string& other_column,
                                          QueryStats* stats = nullptr);
-
-  /// Opt-in host parallelism for independent engine steps: JoinKeys
-  /// sorts its two key columns concurrently, the second one on
-  /// `sibling` (a same-configuration Processor, e.g. a spare core of a
-  /// system::Board, whose host_pool()/core() provide both arguments).
-  /// Results, cycle counts, and plans stay bit-identical to the serial
-  /// engine; only the host wall-clock changes. Pass nulls to go back to
-  /// serial. `pool` and `sibling` must outlive the engine and must not
-  /// be used by the caller while a query runs.
-  void EnableConcurrentSorts(common::ThreadPool* pool, Processor* sibling) {
-    pool_ = pool;
-    sibling_ = sibling;
-  }
 
   /// Enables the adaptive intersection planner (docs/PLANNER.md): every
   /// RID-set intersection is routed to its estimated-fastest kernel --
@@ -144,20 +123,23 @@ class QueryEngine {
   void SetRunSettings(const RunSettings& settings) {
     run_settings_ = settings;
   }
-  /// Attempts per accelerator step (>= 1; default 1 = fail fast, the
-  /// historical behavior). Transient failures -- DeadlineExceeded,
-  /// Unavailable, DataLoss -- are re-executed with the watchdog budget
-  /// doubled each attempt; QueryStats::retries counts re-executions.
-  /// The budget applies route-independently: planner-routed host
-  /// kernels retry under the same policy as the EIS datapath.
+  /// Attempts per engine step (>= 1; default 1 = fail fast, the
+  /// historical behavior): every set operation on any planner route, the
+  /// ORDER BY sort and both JoinKeys sorts. Transient failures
+  /// (IsTransient: DeadlineExceeded, Unavailable, DataLoss) are
+  /// re-executed with the watchdog budget doubled each attempt;
+  /// QueryStats::retries counts re-executions, and each failed sort
+  /// attempt adds a "retry sort of <table>.<column> after <code>" step.
   void SetMaxAttempts(int attempts) {
     max_attempts_ = attempts < 1 ? 1 : attempts;
   }
 
   /// Deterministic per-attempt fault hook (fault::MakeTransientFaultHook)
-  /// consulted before every set-operation attempt, EIS or host-routed;
-  /// a non-OK return fails the attempt and the SetMaxAttempts retry
-  /// policy takes over. Null (the default) disables injection.
+  /// consulted before every set-operation attempt under the key
+  /// "eis:<op>" (EIS datapath, planned or not) or "route:<name>" (host
+  /// routes); sorts do not consult it. A non-OK return fails the attempt
+  /// and the SetMaxAttempts retry policy takes over. Null (the default)
+  /// disables injection.
   void SetAttemptFaultHook(fault::AttemptFaultHook hook) {
     attempt_fault_hook_ = std::move(hook);
   }
@@ -195,40 +177,42 @@ class QueryEngine {
   /// old data). No-op when the column has no index yet.
   Status RefreshIndexIfStale(const std::string& column);
 
-  /// The attempt-fault hook decision for (key, attempt); Ok when unset.
-  Status ConsultFaultHook(std::string_view key, int attempt) const;
+  /// The one attempt ladder (SetMaxAttempts) every step runs through:
+  /// attempt k consults the fault hook under `fault_key` ("" = none),
+  /// then calls `attempt` with the watchdog budget max_cycles << k. It
+  /// stops on success or on a non-transient failure. A success adds its
+  /// re-executions to `step->retries`; each failed attempt before the
+  /// last adds "retry <retry_note> after <code>" to `step->plan` when
+  /// `retry_note` is non-empty.
+  template <typename Attempt>
+  std::invoke_result_t<const Attempt&, const RunSettings&> RunAttempts(
+      std::string_view fault_key, std::string_view retry_note,
+      QueryStats* step, const Attempt& attempt);
 
   Result<std::vector<Rid>> RunSetOp(SetOp op, const OperandView& a,
                                     const OperandView& b, QueryStats* stats);
   Result<std::vector<Rid>> Complement(const std::vector<Rid>& rids,
                                       QueryStats* stats);
 
-  /// The raw EIS execution: capacity-based streaming plus the
-  /// transient-failure retry loop. No stats/plan side effects.
-  struct EisExecution {
-    std::vector<Rid> result;
-    uint64_t cycles = 0;
-    bool streamed = false;
-    int attempts_used = 1;
-  };
-  Result<EisExecution> ExecuteEis(SetOp op, std::span<const Rid> a,
-                                  std::span<const Rid> b);
-
   /// Planner-routed intersection of two non-empty operands: decides,
   /// runs the lazy-index savings accounting, executes the chosen route,
-  /// and records the decision in stats/metrics/trace.
+  /// and books the decision into stats/metrics/trace.
   Result<std::vector<Rid>> RunPlannedIntersect(const OperandView& a,
                                                const OperandView& b,
                                                QueryStats* stats);
 
+  /// Sorts `values` on the accelerator through the attempt ladder
+  /// (prefetch::SortAnySize) and adds its sorts, streamed merges, cycles
+  /// and input elements to `step`.
+  Result<prefetch::AnySizeSortRun> RunSort(std::span<const uint32_t> values,
+                                           std::string_view retry_note,
+                                           QueryStats* step);
+
   const Table* table_;
   Processor* processor_;
-  common::ThreadPool* pool_ = nullptr;   // non-owning; may be null
-  Processor* sibling_ = nullptr;         // non-owning; may be null
   RunSettings run_settings_;
   int max_attempts_ = 1;
   fault::AttemptFaultHook attempt_fault_hook_;
-  std::mutex submit_mutex_;  // serializes Submit-driven queries
   std::map<std::string, SecondaryIndex> indexes_;
   std::map<std::string, uint64_t> index_versions_;  // column version built
 

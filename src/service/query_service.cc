@@ -652,12 +652,6 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       }
     }
 
-    const auto transient = [](StatusCode code) {
-      return code == StatusCode::kUnavailable ||
-             code == StatusCode::kDeadlineExceeded ||
-             code == StatusCode::kDataLoss;
-    };
-
     Result<system::Board::BatchRun> run =
         Status::Unavailable("circuit breaker open");
     if (use_board) {
@@ -674,7 +668,7 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
           break;
         }
         breaker_->OnBoardResult(false, nullptr, n_cores, start_ns);
-        if (!transient(run.status().code())) break;
+        if (!IsTransient(run.status().code())) break;
         if (config_.breaker.enabled &&
             breaker_->StateAt(start_ns) == BreakerState::kOpen) {
           break;  // tripped mid-ladder: fall through to degraded mode

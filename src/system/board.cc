@@ -134,18 +134,19 @@ std::vector<std::span<const uint32_t>> PartitionSorted(
   return ranges;
 }
 
-/// One core's share of a set operation (a value range or a batch
-/// item). Writes pure compute cycles; NoC feed is reduced after the join
-/// (it depends on how many cores stream concurrently).
-Status RunSetPartition(Processor& core, SetOp op,
-                       std::span<const uint32_t> part_a,
-                       std::span<const uint32_t> part_b,
+/// The runner of every set-operation partition (a value range or a
+/// batch item): one core runs `part.op` over its share. Writes pure
+/// compute cycles; NoC feed is reduced after the join (it depends on how
+/// many cores stream concurrently). A template only because the
+/// partition type, Board::PartitionWork, is private.
+template <typename Partition>
+Status RunSetPartition(Processor& core, const Partition& part,
                        const RunSettings& settings,
                        std::vector<uint32_t>* result,
                        uint64_t* compute_cycles) {
-  DBA_ASSIGN_OR_RETURN(
-      prefetch::AnySizeRun run,
-      prefetch::RunSetOperationAnySize(&core, op, part_a, part_b, settings));
+  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeRun run,
+                       prefetch::RunSetOperationAnySize(
+                           &core, part.op, part.a, part.b, settings));
   *compute_cycles = run.cycles;
   *result = std::move(run.result);
   return Status::Ok();
@@ -810,15 +811,9 @@ Result<ParallelRun> Board::RunSetOperation(SetOp op,
     part.op = op;
   }
 
-  const PartitionRunner runner =
-      [op](Processor& core, const PartitionWork& part,
-           const RunSettings& settings, std::vector<uint32_t>* result,
-           uint64_t* compute_cycles) {
-        return RunSetPartition(core, op, part.a, part.b, settings, result,
-                               compute_cycles);
-      };
   return ExecutePartitioned(std::move(parts), /*is_sort=*/false,
-                            a.size() + b.size(), runner);
+                            a.size() + b.size(),
+                            RunSetPartition<PartitionWork>);
 }
 
 Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
@@ -940,17 +935,10 @@ Result<Board::BatchRun> Board::RunSetOperationBatch(
     part.op = items[i].op;
   }
 
-  const PartitionRunner runner =
-      [](Processor& core, const PartitionWork& part,
-         const RunSettings& settings, std::vector<uint32_t>* result,
-         uint64_t* compute_cycles) {
-        return RunSetPartition(core, part.op, part.a, part.b, settings,
-                               result, compute_cycles);
-      };
   DBA_ASSIGN_OR_RETURN(
       batch.run, ExecutePartitioned(std::move(parts), /*is_sort=*/false,
-                                    elements, runner, &batch.results,
-                                    options.deadline_cycles));
+                                    elements, RunSetPartition<PartitionWork>,
+                                    &batch.results, options.deadline_cycles));
   return batch;
 }
 

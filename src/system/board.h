@@ -135,8 +135,8 @@ class Board {
   /// Resolved host parallelism (>= 1); 1 means the serial loop.
   int host_threads() const { return host_threads_; }
   /// The board's host worker pool (null when host_threads() == 1).
-  /// Callers may borrow it for their own independent work, e.g.
-  /// QueryEngine::EnableConcurrentSorts.
+  /// Callers may borrow it for their own independent work while no board
+  /// operation runs, e.g. the query service's per-core Select groups.
   common::ThreadPool* host_pool() const { return pool_.get(); }
   /// Direct access to core `i` (for borrowing an idle core as a sibling
   /// executor; the board and the caller must not run it concurrently).

@@ -42,6 +42,23 @@ TEST(StatusTest, Equality) {
   EXPECT_FALSE(Status::Internal("x") == Status::NotFound("x"));
 }
 
+TEST(StatusTest, TransientCodesAreTheRetryableOnes) {
+  // The engine's attempt ladder and the service's board re-submit ladder
+  // both retry exactly these codes.
+  for (const StatusCode code :
+       {StatusCode::kDeadlineExceeded, StatusCode::kUnavailable,
+        StatusCode::kDataLoss}) {
+    EXPECT_TRUE(IsTransient(code)) << StatusCodeToString(code);
+  }
+  for (const StatusCode code :
+       {StatusCode::kOk, StatusCode::kInvalidArgument,
+        StatusCode::kFailedPrecondition, StatusCode::kResourceExhausted,
+        StatusCode::kInternal, StatusCode::kNotFound,
+        StatusCode::kRateLimited}) {
+    EXPECT_FALSE(IsTransient(code)) << StatusCodeToString(code);
+  }
+}
+
 Status FailIfNegative(int x) {
   if (x < 0) return Status::OutOfRange("negative");
   return Status::Ok();

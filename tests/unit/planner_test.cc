@@ -10,7 +10,6 @@
 #include "baseline/galloping_baseline.h"
 #include "baseline/scalar_baseline.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/workload.h"
 #include "obs/metrics/metrics.h"
 #include "query/engine.h"
@@ -387,38 +386,107 @@ TEST_F(PlannerEngineTest, SameSeedReplayIsDeterministic) {
 }
 
 TEST_F(PlannerEngineTest, MetricsRouteCountersMatchQueryStats) {
-  auto snapshot_routes = [] {
-    std::array<uint64_t, kNumRoutes> counts{};
+  // Every registry counter the engine books must move by exactly its
+  // QueryStats field, summed over one run that takes every booking path:
+  // EIS set ops, each planner route with a retried first attempt, lazy
+  // index builds, chunked JoinKeys sorts and a chunked ORDER BY.
+  std::vector<std::string> names = {
+      "dba_query_setops_total", "dba_query_sorts_total",
+      "dba_query_retries_total", "dba_query_partition_index_builds_total"};
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    names.push_back(obs::InstrumentIdentity(
+        "dba_query_plan_total", "route", RouteName(static_cast<Route>(r))));
+  }
+  const auto registry_counts = [&names] {
     const obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::Global().Snapshot();
-    for (size_t r = 0; r < kNumRoutes; ++r) {
-      const std::string identity = obs::InstrumentIdentity(
-          "dba_query_plan_total", "route", RouteName(static_cast<Route>(r)));
-      auto it = snapshot.counters.find(identity);
-      counts[r] = it == snapshot.counters.end() ? 0 : it->second;
+    std::vector<uint64_t> counts;
+    for (const std::string& name : names) {
+      auto it = snapshot.counters.find(name);
+      counts.push_back(it == snapshot.counters.end() ? 0 : it->second);
     }
     return counts;
   };
+  const auto stats_counts = [](const QueryStats& stats) {
+    std::vector<uint64_t> counts = {stats.set_operations, stats.sorts,
+                                    stats.retries,
+                                    stats.partition_index_builds};
+    counts.insert(counts.end(), stats.route_counts.begin(),
+                  stats.route_counts.end());
+    return counts;
+  };
 
-  auto engine = MakeEngine();
-  engine->EnableAdaptivePlanner(TestPlannerOptions());
-  const auto before = snapshot_routes();
-  QueryStats stats;
-  for (const PredicatePtr& predicate : TestPredicates()) {
-    ASSERT_TRUE(engine->Select(*predicate, &stats).ok());
+  // Key columns beyond the 8184-element local-store sort: 9000 keys sort
+  // in two chunks joined by a streamed merge.
+  std::vector<uint32_t> keys_a(9000);
+  std::vector<uint32_t> keys_b(3000);
+  for (size_t i = 0; i < keys_a.size(); ++i) {
+    keys_a[i] = static_cast<uint32_t>((i * 7919) % keys_a.size());
   }
-  const auto after = snapshot_routes();
+  for (size_t i = 0; i < keys_b.size(); ++i) {
+    keys_b[i] = static_cast<uint32_t>(3 * i);
+  }
+  Table orders("orders_m");
+  Table customers("customers_m");
+  ASSERT_TRUE(orders.AddColumn("cust_key", std::move(keys_a)).ok());
+  ASSERT_TRUE(orders.AddColumn("flag", std::vector<uint32_t>(9000, 1)).ok());
+  ASSERT_TRUE(customers.AddColumn("key", std::move(keys_b)).ok());
+
+  const std::vector<uint64_t> before = registry_counts();
+  QueryStats stats;
+
+  auto unplanned = MakeEngine();
+  for (const PredicatePtr& predicate : TestPredicates()) {
+    ASSERT_TRUE(unplanned->Select(*predicate, &stats).ok());
+  }
+
   for (size_t r = 0; r < kNumRoutes; ++r) {
-    EXPECT_EQ(after[r] - before[r], stats.route_counts[r])
-        << RouteName(static_cast<Route>(r));
+    PlannerOptions options = TestPlannerOptions();
+    options.force_route = static_cast<Route>(r);
+    auto forced = MakeEngine();
+    forced->EnableAdaptivePlanner(options);
+    forced->SetMaxAttempts(2);
+    forced->SetAttemptFaultHook([](std::string_view, int attempt) {
+      return attempt == 0 ? Status::Unavailable("injected") : Status::Ok();
+    });
+    for (const PredicatePtr& predicate : TestPredicates()) {
+      ASSERT_TRUE(forced->Select(*predicate, &stats).ok())
+          << RouteName(static_cast<Route>(r));
+    }
+  }
+
+  // With payback_factor 0 the first miss builds a lazy partition index;
+  // the repeat probes it.
+  PlannerOptions eager = TestPlannerOptions();
+  eager.payback_factor = 0.0;
+  auto planned = MakeEngine();
+  planned->EnableAdaptivePlanner(eager);
+  const auto repeated = And(Equals("region", 1), LessEq("amount", 120));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(planned->Select(*repeated, &stats).ok());
+  }
+  ASSERT_EQ(stats.partition_index_builds, 1u);
+
+  QueryEngine join(&orders, processor_.get());
+  join.EnableAdaptivePlanner(TestPlannerOptions());
+  ASSERT_TRUE(join.BuildIndex("flag").ok());
+  ASSERT_TRUE(join.JoinKeys("cust_key", customers, "key", &stats).ok());
+  ASSERT_TRUE(
+      join.SelectValuesOrdered(*Equals("flag", 1), "cust_key", &stats).ok());
+  // 9000 + 3000 keys, then 9000 ORDER BY values: 2 + 1 + 2 chunk sorts.
+  EXPECT_EQ(stats.sorts, 5u);
+  EXPECT_GT(stats.retries, 0u);
+
+  const std::vector<uint64_t> after = registry_counts();
+  const std::vector<uint64_t> booked = stats_counts(stats);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], booked[i]) << names[i];
   }
 }
 
-TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesSerialUnderHostThreads) {
-  // JoinKeys' final intersection routes through the planner; with
-  // concurrent host sorts enabled the result, plan, and route counters
-  // must stay identical to the serial engine.
-  Random rng(123);
+TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesUnplanned) {
+  // JoinKeys' final intersection routes through the planner; the keys
+  // and the sort steps must match the always-EIS engine's.
   std::vector<uint32_t> keys_a(1500);
   std::vector<uint32_t> keys_b(900);
   std::iota(keys_a.begin(), keys_a.end(), 10u);
@@ -430,28 +498,30 @@ TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesSerialUnderHostThreads) {
   ASSERT_TRUE(orders.AddColumn("cust_key", std::move(keys_a)).ok());
   ASSERT_TRUE(customers.AddColumn("key", std::move(keys_b)).ok());
 
-  QueryEngine serial(&orders, processor_.get());
-  serial.EnableAdaptivePlanner(TestPlannerOptions());
-  QueryStats serial_stats;
-  auto serial_keys =
-      serial.JoinKeys("cust_key", customers, "key", &serial_stats);
-  ASSERT_TRUE(serial_keys.ok()) << serial_keys.status();
+  QueryEngine unplanned(&orders, processor_.get());
+  QueryStats unplanned_stats;
+  auto expected =
+      unplanned.JoinKeys("cust_key", customers, "key", &unplanned_stats);
+  ASSERT_TRUE(expected.ok()) << expected.status();
 
-  auto sibling = Processor::Create(processor_->kind(), processor_->options());
-  ASSERT_TRUE(sibling.ok());
-  common::ThreadPool pool(2);
-  QueryEngine parallel(&orders, processor_.get());
-  parallel.EnableAdaptivePlanner(TestPlannerOptions());
-  parallel.EnableConcurrentSorts(&pool, sibling->get());
-  QueryStats parallel_stats;
-  auto parallel_keys =
-      parallel.JoinKeys("cust_key", customers, "key", &parallel_stats);
-  ASSERT_TRUE(parallel_keys.ok()) << parallel_keys.status();
+  QueryEngine planned(&orders, processor_.get());
+  planned.EnableAdaptivePlanner(TestPlannerOptions());
+  QueryStats planned_stats;
+  auto keys = planned.JoinKeys("cust_key", customers, "key", &planned_stats);
+  ASSERT_TRUE(keys.ok()) << keys.status();
 
-  EXPECT_EQ(*parallel_keys, *serial_keys);
-  EXPECT_EQ(parallel_stats.plan, serial_stats.plan);
-  EXPECT_EQ(parallel_stats.route_counts, serial_stats.route_counts);
-  EXPECT_EQ(parallel_stats.planned_ops, serial_stats.planned_ops);
+  EXPECT_EQ(*keys, *expected);
+  // Both sort steps match; only the intersection step names a route.
+  ASSERT_EQ(planned_stats.plan.size(), 3u);
+  ASSERT_EQ(unplanned_stats.plan.size(), 3u);
+  EXPECT_EQ(planned_stats.plan[0], unplanned_stats.plan[0]);
+  EXPECT_EQ(planned_stats.plan[1], unplanned_stats.plan[1]);
+  EXPECT_EQ(planned_stats.sorts, unplanned_stats.sorts);
+  EXPECT_EQ(unplanned_stats.planned_ops, 0u);
+  EXPECT_EQ(planned_stats.planned_ops, 1u);
+  uint32_t routed = 0;
+  for (const uint32_t count : planned_stats.route_counts) routed += count;
+  EXPECT_EQ(routed, planned_stats.planned_ops);
 }
 
 TEST_F(PlannerEngineTest, DisableRestoresAlwaysEis) {

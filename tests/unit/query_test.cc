@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
 #include <memory>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "obs/metrics/metrics.h"
 #include "query/engine.h"
 #include "query/planner.h"
@@ -302,6 +300,55 @@ TEST_F(QueryEngineTest, ChunkedOrderByBeyondLocalStore) {
   EXPECT_EQ(*values, expected);
 }
 
+// Regression: ORDER BY sorts used to run outside the retry policy, so a
+// sort that tripped the watchdog failed the query even with attempts to
+// spare, while JoinKeys sorts retried.
+TEST_F(QueryEngineTest, OrderByRetriesTransientSortFailures) {
+  Table big("big");
+  Random rng(16);
+  std::vector<uint32_t> key(2000);
+  for (uint32_t& value : key) value = rng.Next32() % 100000;
+  std::vector<uint32_t> expected = key;
+  std::sort(expected.begin(), expected.end());
+  ASSERT_TRUE(big.AddColumn("key", std::move(key)).ok());
+  ASSERT_TRUE(big.AddColumn("flag", std::vector<uint32_t>(2000, 1)).ok());
+  QueryEngine engine(&big, processor_.get());
+  ASSERT_TRUE(engine.BuildIndex("flag").ok());
+  const auto predicate = Equals("flag", 1);
+
+  QueryStats unlimited;
+  ASSERT_TRUE(engine.SelectValuesOrdered(*predicate, "key", &unlimited).ok());
+  ASSERT_EQ(unlimited.sorts, 1u);  // one local-store sort, no chunks
+  const uint64_t sort_cycles = unlimited.accelerator_cycles;
+
+  // The sort needs 3x the watchdog budget: the attempts at 1x and 2x
+  // trip it, the one at 4x fits.
+  RunSettings settings;
+  settings.max_cycles = sort_cycles / 3 + 1;
+  engine.SetRunSettings(settings);
+  engine.SetMaxAttempts(3);
+  obs::Counter* retries =
+      obs::MetricsRegistry::Global().GetCounter("dba_query_retries_total");
+  const uint64_t retries_before = retries->Value();
+  QueryStats stats;
+  auto values = engine.SelectValuesOrdered(*predicate, "key", &stats);
+  ASSERT_TRUE(values.ok()) << values.status();
+  EXPECT_EQ(*values, expected);
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(retries->Value() - retries_before, 2u);
+  EXPECT_EQ(stats.sorts, 1u);
+  EXPECT_EQ(stats.accelerator_cycles, sort_cycles);
+  const std::string retry = "retry sort of big.key after DeadlineExceeded";
+  ASSERT_EQ(stats.plan.size(), 4u);
+  EXPECT_EQ(stats.plan[1], retry);
+  EXPECT_EQ(stats.plan[2], retry);
+  EXPECT_EQ(stats.plan[3], "sort 2000 values on key");
+
+  engine.SetMaxAttempts(1);
+  EXPECT_EQ(engine.SelectValuesOrdered(*predicate, "key").status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
 TEST_F(QueryEngineTest, RandomizedPredicatesMatchScan) {
   Random rng(123);
   for (int trial = 0; trial < 25; ++trial) {
@@ -386,51 +433,6 @@ TEST_F(QueryEngineTest, JoinKeysMatchesReference) {
   EXPECT_GE(stats.set_operations, 1u);
 }
 
-TEST_F(QueryEngineTest, ConcurrentJoinKeysMatchesSerial) {
-  // The two key-column sorts are independent; running them on
-  // concurrent host threads (the second on a sibling processor) must
-  // leave results, cycle counts, and the rendered plan bit-identical.
-  Table customers("customers");
-  Table orders2("orders2");
-  Random rng(47);
-  std::vector<uint32_t> left_keys;
-  std::vector<uint32_t> right_keys;
-  uint32_t next = 0;
-  for (int i = 0; i < 2000; ++i) {
-    next += 1 + static_cast<uint32_t>(rng.Uniform(3));
-    if (rng.Bernoulli(0.6)) left_keys.push_back(next);
-    if (rng.Bernoulli(0.6)) right_keys.push_back(next);
-  }
-  ASSERT_TRUE(orders2.AddColumn("cust_key", std::move(left_keys)).ok());
-  ASSERT_TRUE(customers.AddColumn("key", std::move(right_keys)).ok());
-
-  QueryEngine serial(&orders2, processor_.get());
-  QueryStats serial_stats;
-  auto serial_keys =
-      serial.JoinKeys("cust_key", customers, "key", &serial_stats);
-  ASSERT_TRUE(serial_keys.ok()) << serial_keys.status();
-
-  auto sibling = Processor::Create(processor_->kind(),
-                                   processor_->options());
-  ASSERT_TRUE(sibling.ok());
-  common::ThreadPool pool(2);
-  QueryEngine parallel(&orders2, processor_.get());
-  parallel.EnableConcurrentSorts(&pool, sibling->get());
-  QueryStats parallel_stats;
-  auto parallel_keys =
-      parallel.JoinKeys("cust_key", customers, "key", &parallel_stats);
-  ASSERT_TRUE(parallel_keys.ok()) << parallel_keys.status();
-
-  EXPECT_EQ(*parallel_keys, *serial_keys);
-  EXPECT_EQ(parallel_stats.sorts, serial_stats.sorts);
-  EXPECT_EQ(parallel_stats.set_operations, serial_stats.set_operations);
-  EXPECT_EQ(parallel_stats.accelerator_cycles,
-            serial_stats.accelerator_cycles);
-  EXPECT_EQ(parallel_stats.elements_processed,
-            serial_stats.elements_processed);
-  EXPECT_EQ(parallel_stats.plan, serial_stats.plan);
-}
-
 TEST_F(QueryEngineTest, JoinKeysCountsStreamedMergesLikeOrderedSelect) {
   // Key columns beyond max_sort_elements() sort in chunks joined by
   // streamed merges; like SelectValuesOrdered, JoinKeys books each merge
@@ -452,34 +454,20 @@ TEST_F(QueryEngineTest, JoinKeysCountsStreamedMergesLikeOrderedSelect) {
   obs::Counter* setops = obs::MetricsRegistry::Global().GetCounter(
       "dba_query_setops_total");
 
-  auto sibling = Processor::Create(processor_->kind(),
-                                   processor_->options());
-  ASSERT_TRUE(sibling.ok());
-  common::ThreadPool pool(2);
-  std::vector<QueryStats> runs;
-  for (const int host_threads : {1, 2}) {
-    QueryEngine engine(&orders2, processor_.get());
-    if (host_threads == 2) engine.EnableConcurrentSorts(&pool, sibling->get());
-    const uint64_t setops_before = setops->Value();
-    QueryStats stats;
-    auto keys = engine.JoinKeys("cust_key", customers, "key", &stats);
-    ASSERT_TRUE(keys.ok()) << keys.status();
-    EXPECT_EQ(keys->size(), 9000u);
-    // 20000 keys: 3 chunks, 2 merges; 9000 keys: 2 chunks, 1 merge;
-    // plus the final intersection.
-    EXPECT_EQ(stats.sorts, 5u) << host_threads;
-    EXPECT_EQ(stats.set_operations, 4u) << host_threads;
-    EXPECT_EQ(setops->Value() - setops_before, 4u) << host_threads;
-    // Sorted elements (20000 + 9000), merged inputs ((8184 + 8184) +
-    // (16368 + 3632) and 8184 + 816) and the 20000 x 9000 intersection.
-    EXPECT_EQ(stats.elements_processed, 103368u) << host_threads;
-    runs.push_back(std::move(stats));
-  }
-  EXPECT_EQ(runs[0].sorts, runs[1].sorts);
-  EXPECT_EQ(runs[0].set_operations, runs[1].set_operations);
-  EXPECT_EQ(runs[0].accelerator_cycles, runs[1].accelerator_cycles);
-  EXPECT_EQ(runs[0].elements_processed, runs[1].elements_processed);
-  EXPECT_EQ(runs[0].plan, runs[1].plan);
+  QueryEngine engine(&orders2, processor_.get());
+  const uint64_t setops_before = setops->Value();
+  QueryStats stats;
+  auto keys = engine.JoinKeys("cust_key", customers, "key", &stats);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  EXPECT_EQ(keys->size(), 9000u);
+  // 20000 keys: 3 chunks, 2 merges; 9000 keys: 2 chunks, 1 merge; plus
+  // the final intersection.
+  EXPECT_EQ(stats.sorts, 5u);
+  EXPECT_EQ(stats.set_operations, 4u);
+  EXPECT_EQ(setops->Value() - setops_before, 4u);
+  // Sorted elements (20000 + 9000), merged inputs ((8184 + 8184) +
+  // (16368 + 3632) and 8184 + 816) and the 20000 x 9000 intersection.
+  EXPECT_EQ(stats.elements_processed, 103368u);
 }
 
 TEST_F(QueryEngineTest, JoinKeysRejectsDuplicateKeys) {
@@ -517,27 +505,6 @@ TEST_F(QueryEngineTest, UpdateColumnBumpsVersionAndRebuildsStaleIndex) {
   auto rids2 = engine_->Select(*predicate);
   ASSERT_TRUE(rids2.ok()) << rids2.status();
   EXPECT_EQ(*rids2, ScanSelect(table_, *predicate));
-}
-
-TEST_F(QueryEngineTest, SubmitAsyncMatchesSelect) {
-  std::shared_ptr<const Predicate> predicate(
-      And(Equals("region", 1), GreaterEq("amount", 4000)));
-  const auto expected = ScanSelect(table_, *predicate);
-
-  auto future = engine_->Submit(predicate);
-  auto rids = future.get();
-  ASSERT_TRUE(rids.ok()) << rids.status();
-  EXPECT_EQ(*rids, expected);
-
-  // Several submissions in flight at once: the engine serializes them
-  // internally and every future resolves to the same answer.
-  std::vector<std::future<Result<std::vector<Rid>>>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(engine_->Submit(predicate));
-  for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(*result, expected);
-  }
 }
 
 // Regression: retry accounting used to be wired only into the EIS
