@@ -8,7 +8,10 @@
 //   route rows   config/op/route/skew, elements, wall_ns (min of reps),
 //                and for the EIS route cycles + gated throughput_meps
 //                (simulated, so deterministic across hosts).
-//   planner rows route=planner, chosen route, estimated vs measured ns,
+//   planner rows config/op/route=planner/skew, routes.chosen and
+//                routes.best_measured (nested, so a route flipped by host
+//                timing is a value and not part of the row identity that
+//                compare-bench matches on), estimated vs measured ns,
 //                regret vs the best measured route, and speedup_vs_eis
 //                (host wall numbers: reported, not gated).
 
@@ -157,10 +160,13 @@ void Run() {
     obs::JsonValue& planner_row = AddBenchRow("PLANNER");
     planner_row.Set("op", "intersect")
         .Set("route", "planner")
-        .Set("chosen", std::string(query::RouteName(decision.route)))
-        .Set("best_measured",
-             std::string(query::RouteName(
-                 static_cast<query::Route>(best_route))))
+        .Set("routes",
+             obs::JsonValue::Object()
+                 .Set("chosen",
+                      std::string(query::RouteName(decision.route)))
+                 .Set("best_measured",
+                      std::string(query::RouteName(
+                          static_cast<query::Route>(best_route)))))
         .Set("skew", SkewName(skew))
         .Set("elements", total_elements)
         .Set("estimated_ns", decision.chosen_ns)

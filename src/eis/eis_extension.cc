@@ -22,68 +22,9 @@ using sim::ExtContext;
 
 namespace {
 
-template <typename Ctx>
-Reg FlagReg(const Ctx& ctx) {
+Reg FlagReg(const ExtContext& ctx) {
   return isa::RegFromIndex(ctx.operand() & 0xF);
 }
-
-/// The batch engine's execution context: the same surface the semantic
-/// templates use on sim::ExtContext, minus the per-beat overhead -- the
-/// data-bus width is validated once per loop (RunTieLoop declines on
-/// narrow buses) and the route of the last beat is cached, which turns
-/// the address-to-memory lookup of a streaming kernel into one range
-/// check. Beat accounting is identical to ExtContext.
-class BatchCtx {
- public:
-  explicit BatchCtx(sim::Cpu* cpu)
-      : cpu_(cpu), num_lsus_(cpu->config().num_lsus) {}
-
-  uint16_t operand() const { return operand_; }
-  int num_lsus() const { return num_lsus_; }
-
-  uint32_t reg(Reg r) const { return cpu_->reg(r); }
-  void set_reg(Reg r, uint32_t value) { cpu_->set_reg(r, value); }
-
-  Result<mem::Beat128> LoadBeat(int lsu, uint64_t addr) {
-    DBA_ASSIGN_OR_RETURN(mem::Memory * memory, Route(addr, 16));
-    beats_[Fold(lsu)] += memory->config().access_latency;
-    return memory->Load128(addr);
-  }
-  Status StoreBeat(int lsu, uint64_t addr, const mem::Beat128& beat) {
-    DBA_ASSIGN_OR_RETURN(mem::Memory * memory, Route(addr, 16));
-    beats_[Fold(lsu)] += memory->config().access_latency;
-    return memory->Store128(addr, beat);
-  }
-  Result<uint32_t> LoadWord(int lsu, uint64_t addr) {
-    DBA_ASSIGN_OR_RETURN(mem::Memory * memory, Route(addr, 4));
-    beats_[Fold(lsu)] += memory->config().access_latency;
-    return memory->LoadU32(addr);
-  }
-  Status StoreWord(int lsu, uint64_t addr, uint32_t value) {
-    DBA_ASSIGN_OR_RETURN(mem::Memory * memory, Route(addr, 4));
-    beats_[Fold(lsu)] += memory->config().access_latency;
-    return memory->StoreU32(addr, value);
-  }
-
-  uint16_t operand_ = 0;
-  uint32_t beats_[2] = {0, 0};
-
- private:
-  int Fold(int lsu) const {
-    return (lsu < 0 || lsu >= num_lsus_) ? 0 : lsu;
-  }
-  Result<mem::Memory*> Route(uint64_t addr, uint64_t bytes) {
-    if (last_ != nullptr && last_->Contains(addr, bytes)) return last_;
-    DBA_ASSIGN_OR_RETURN(mem::Memory * memory,
-                         cpu_->memory_system().Route(addr, bytes));
-    last_ = memory;
-    return memory;
-  }
-
-  sim::Cpu* cpu_;
-  int num_lsus_;
-  mem::Memory* last_ = nullptr;
-};
 
 /// True when the loop body is a fused steady state: unroll x
 /// [STORE_SOP(flag), load word] with one flag register, closed by a
@@ -355,10 +296,11 @@ inline bool SimdIntersectAvailable() {
 
 #endif  // defined(__x86_64__)
 
-// TIE-loop entries (RunTieLoop calls) by the engine that ran them. A
-// stepper that quietly declined would leave every modeled number as it
-// was; this counter is where that shows. Registry lookups happen once;
-// each entry costs one relaxed add.
+// TIE-loop entries (RunTieLoop calls) by the engine that ran them;
+// "per_word" counts the entries the stepper declined, which the core's
+// superblock loop then ran. A stepper that quietly declined would leave
+// every modeled number as it was; this counter is where that shows.
+// Registry lookups happen once; each entry costs one relaxed add.
 enum class LoopEngine { kSetOpStepper, kMergeStepper, kPerWord };
 
 obs::Counter* TieLoopCounter(LoopEngine engine) {
@@ -398,8 +340,7 @@ EisExtension::EisExtension() : TieExtension("eis") {
   partial_state_ = AddState("partial_loading", 1, 0);
   active_state_ = AddState("active", 1, 0);
 
-  // All operations route through DispatchOp so the per-word path and the
-  // batch engine can never diverge.
+  // Every operation, primitive or fused, routes through DispatchOp.
   static constexpr struct {
     uint16_t id;
     const char* name;
@@ -417,7 +358,6 @@ EisExtension::EisExtension() : TieExtension("eis") {
       {op::kFlush, "flush"},
       {op::kLdMerge, "ld_merge"},
       {op::kSortBeat, "sort_beat"},
-      {op::kCopyBeat, "copy_beat"},
   };
   for (const auto& def : kOps) {
     const uint16_t id = def.id;
@@ -426,8 +366,7 @@ EisExtension::EisExtension() : TieExtension("eis") {
   }
 }
 
-template <typename Ctx>
-Status EisExtension::DispatchOp(uint16_t ext_id, Ctx& ctx) {
+Status EisExtension::DispatchOp(uint16_t ext_id, ExtContext& ctx) {
   switch (ext_id) {
     case op::kInit:
       return Init(ctx);
@@ -469,8 +408,6 @@ Status EisExtension::DispatchOp(uint16_t ext_id, Ctx& ctx) {
       return LdMerge(ctx);
     case op::kSortBeat:
       return SortBeat(ctx);
-    case op::kCopyBeat:
-      return CopyBeat(ctx);
     default:
       return Status::Internal("unknown EIS operation id " +
                               std::to_string(ext_id));
@@ -502,8 +439,7 @@ bool EisExtension::ContinueFlag() const {
   return false;
 }
 
-template <typename Ctx>
-Status EisExtension::Init(Ctx& ctx) {
+Status EisExtension::Init(ExtContext& ctx) {
   // Reset the datapath but keep the activity counters: INIT runs once
   // per merge pair inside the sort kernel, and the counters aggregate a
   // whole run (ResetState clears them between Processor runs).
@@ -532,8 +468,7 @@ Status EisExtension::Init(Ctx& ctx) {
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::Ld(Ctx& ctx, int side_index) {
+Status EisExtension::Ld(ExtContext& ctx, int side_index) {
   StreamSide& s = side(side_index);
   if (s.remaining == 0) return Status::Ok();
   // The load pipeline issues its 128-bit beat every iteration the stream
@@ -566,8 +501,7 @@ void EisExtension::LdP(int side_index) {
   }
 }
 
-template <typename Ctx>
-Status EisExtension::Sop(Ctx& ctx) {
+Status EisExtension::Sop(ExtContext& ctx) {
   const SopOutcome outcome = ComputeSop(mode(), a_.window, a_.upstream_empty(),
                                         b_.window, b_.upstream_empty());
   a_.window.Consume(outcome.consume_a);
@@ -595,8 +529,7 @@ void EisExtension::StS() {
   store_count_ = 4;
 }
 
-template <typename Ctx>
-Status EisExtension::StorePack(Ctx& ctx,
+Status EisExtension::StorePack(ExtContext& ctx,
                                const std::array<uint32_t, 4>& pack) {
   DBA_RETURN_IF_ERROR(ctx.StoreBeat(StoreLsu(), c_ptr_, pack));
   c_ptr_ += mem::kBeatBytes;
@@ -605,8 +538,7 @@ Status EisExtension::StorePack(Ctx& ctx,
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::St(Ctx& ctx) {
+Status EisExtension::St(ExtContext& ctx) {
   // The store is delayed while fewer than four elements are available
   // (Section 4); a full Store state is written as one aligned beat.
   if (store_count_ == 4) {
@@ -631,8 +563,7 @@ Status EisExtension::St(Ctx& ctx) {
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::Flush(Ctx& ctx) {
+Status EisExtension::Flush(ExtContext& ctx) {
   // Drain Store states and the result FIFO. Full packs leave as beats;
   // the final partial pack is written with byte enables (modelled as
   // word stores).
@@ -666,8 +597,7 @@ Status EisExtension::Flush(Ctx& ctx) {
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::LdMerge(Ctx& ctx) {
+Status EisExtension::LdMerge(ExtContext& ctx) {
   // Refill the side with fewer buffered elements first; if its stream
   // is exhausted or its Load states are full, try the other side.
   const int buffered_a = a_.window.count + a_.load_fifo.size();
@@ -685,8 +615,7 @@ Status EisExtension::LdMerge(Ctx& ctx) {
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::SortBeat(Ctx& ctx) {
+Status EisExtension::SortBeat(ExtContext& ctx) {
   if (a_.remaining > 0) {
     DBA_ASSIGN_OR_RETURN(mem::Beat128 beat, ctx.LoadBeat(0, a_.ptr));
     const uint32_t take = std::min<uint32_t>(4, a_.remaining);
@@ -706,44 +635,27 @@ Status EisExtension::SortBeat(Ctx& ctx) {
   return Status::Ok();
 }
 
-template <typename Ctx>
-Status EisExtension::CopyBeat(Ctx& ctx) {
-  if (a_.remaining > 0) {
-    DBA_ASSIGN_OR_RETURN(mem::Beat128 beat, ctx.LoadBeat(0, a_.ptr));
-    const uint32_t take = std::min<uint32_t>(4, a_.remaining);
-    DBA_RETURN_IF_ERROR(ctx.StoreBeat(0, c_ptr_, beat));
-    a_.ptr += mem::kBeatBytes;
-    a_.remaining -= take;
-    c_ptr_ += mem::kBeatBytes;
-    c_count_ += take;
-    ++counters_.load_beats;
-    ++counters_.store_beats;
-  }
-  ctx.set_reg(FlagReg(ctx), a_.remaining > 0 ? 1u : 0u);
-  return Status::Ok();
-}
-
-// --- Batch loop engine (sim::LoopAccelerator) ---
+// --- Loop accelerator (sim::LoopAccelerator) ---
 
 bool EisExtension::MatchesTieLoop(const sim::TieLoop& loop) const {
   if (loop.body.empty()) return false;
   for (const isa::Instruction& instr : loop.body) {
-    if (instr.ext_id < op::kInit || instr.ext_id > op::kCopyBeat) {
+    if (instr.ext_id < op::kInit || instr.ext_id > op::kSortBeat) {
       return false;
     }
   }
   return true;
 }
 
-EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
-    const sim::TieLoop& loop, sim::Cpu& cpu, bool exact, uint64_t max_cycles,
-    uint64_t iter_margin, SteadyMirrors& m) {
+bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
+                                  bool exact, uint64_t max_cycles,
+                                  sim::ExecStats& stats) {
   const SopMode sop_mode = mode();
   const bool merge = sop_mode == SopMode::kMerge;
   int flag_index = 0;
   if (!MatchSteadyLoopShape(loop, merge ? op::kLdMerge : op::kLdLdpShuffle,
                             &flag_index)) {
-    return SteadyOutcome::kDeclined;
+    return false;
   }
   const Reg flag_reg = isa::RegFromIndex(flag_index);
   const bool partial = partial_loading() || merge;  // as in LdP
@@ -753,6 +665,12 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
   const int lsu_b = !merge && num_lsus >= 2 ? 1 : 0;
   const uint32_t penalty = cpu.config().branch_mispredict_penalty;
   const size_t unroll = loop.body.size() / 2;
+  // Conservative worst-case cycles of one full iteration, for the
+  // iteration-head watchdog margin: issue plus serialized beats per word
+  // (the burst drain can issue 8 beats of latency <= 4 on each port)
+  // plus the branch and its penalty.
+  const uint64_t iter_margin =
+      static_cast<uint64_t>(loop.body.size()) * 65 + 1 + penalty;
 #if defined(__x86_64__)
   const bool use_simd = SimdIntersectAvailable();
 #endif
@@ -822,20 +740,20 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
   };
 
   Cursor ca, cb;
-  if (!resolve(a_, &ca) || !resolve(b_, &cb)) return SteadyOutcome::kDeclined;
+  if (!resolve(a_, &ca) || !resolve(b_, &cb)) return false;
 
   // Result cursor: writes land directly in the backing region; the ring
   // keeps the last <= 36 emitted elements so the result FIFO and Store
   // states can be reconstructed on exit.
   auto result_memory = cpu.memory_system().Route(c_ptr_, mem::kBeatBytes);
-  if (!result_memory.ok()) return SteadyOutcome::kDeclined;
+  if (!result_memory.ok()) return false;
   uint32_t* out_data =
       reinterpret_cast<uint32_t*>((*result_memory)->mutable_raw().data());
   const uint64_t out_base = (*result_memory)->config().base;
   const size_t out_words = (*result_memory)->mutable_raw().size() / 4;
   size_t out_pos = static_cast<size_t>((c_ptr_ - out_base) / 4);
   const uint32_t lat_c = (*result_memory)->config().access_latency;
-  if (out_pos > out_words) return SteadyOutcome::kDeclined;
+  if (out_pos > out_words) return false;
 
   uint32_t ring[64];
   uint64_t written = 0;
@@ -848,7 +766,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
   const uint64_t written0 = written;
 
   // The cursors read buffered input from memory when it is consumed,
-  // where the per-word engine copies each beat when it loads it; a pack
+  // where the per-word path copies each beat when it loads it; a pack
   // stored over input not yet consumed would tell the two apart. Decline
   // when the packs this loop can still write overlap unread input. The
   // 1-LSU sort ping-pongs between two halves of LDM0, so this compares
@@ -865,20 +783,20 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
       const size_t in_end = c.pos + 4 * ((static_cast<size_t>(c.rem) + 3) / 4);
       return c.consumed < out_end && out_pos < in_end;
     };
-    if (overlaps(ca) || overlaps(cb)) return SteadyOutcome::kDeclined;
+    if (overlaps(ca) || overlaps(cb)) return false;
   }
 
   // Local copies of the hot counters: per-word increments stay in
-  // registers; written back through the mirrors on every exit path.
-  uint64_t cycles = m.cycles;
-  uint64_t bundles = m.bundles;
-  uint64_t instructions = m.instructions;
-  uint64_t taken_branches = m.taken_branches;
-  uint64_t mispredicted = m.mispredicted;
-  uint64_t branch_penalty = m.branch_penalty;
-  uint64_t port_stall = m.port_stall;
-  uint64_t beats0 = m.beats0;
-  uint64_t beats1 = m.beats1;
+  // registers; written back to `stats` on every exit path.
+  uint64_t cycles = stats.cycles;
+  uint64_t bundles = stats.bundles;
+  uint64_t instructions = stats.instructions;
+  uint64_t taken_branches = stats.taken_branches;
+  uint64_t mispredicted = stats.mispredicted_branches;
+  uint64_t branch_penalty = stats.branch_penalty_cycles;
+  uint64_t port_stall = stats.port_stall_cycles;
+  uint64_t beats0 = stats.lsu_beats[0];
+  uint64_t beats1 = stats.lsu_beats[1];
   const uint32_t rs2_value = cpu.reg(loop.branch.rs2);
 
   bool active = active_state_->Get() != 0;
@@ -890,15 +808,15 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
   // Syncs the cursor state back into the real datapath structures; valid
   // at any word boundary.
   auto sync = [&](uint32_t next_pc) {
-    m.cycles = cycles;
-    m.bundles = bundles;
-    m.instructions = instructions;
-    m.taken_branches = taken_branches;
-    m.mispredicted = mispredicted;
-    m.branch_penalty = branch_penalty;
-    m.port_stall = port_stall;
-    m.beats0 = beats0;
-    m.beats1 = beats1;
+    stats.cycles = cycles;
+    stats.bundles = bundles;
+    stats.instructions = instructions;
+    stats.taken_branches = taken_branches;
+    stats.mispredicted_branches = mispredicted;
+    stats.branch_penalty_cycles = branch_penalty;
+    stats.port_stall_cycles = port_stall;
+    stats.lsu_beats[0] = beats0;
+    stats.lsu_beats[1] = beats1;
     auto sync_side = [](StreamSide& s, const Cursor& c) {
       if (!c.has_span) return;
       s.ptr = c.base + 4 * static_cast<uint64_t>(c.pos);
@@ -958,7 +876,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
   // The whole steady loop is instantiated per SopMode: the SOP kernel,
   // the emission rules, and the continuation flag all constant-fold,
   // which matters at one dispatch per word.
-  auto steady = [&]<SopMode kMode>() -> SteadyOutcome {
+  auto steady = [&]<SopMode kMode>() -> bool {
     // Exact iterations before the turbo bulk segment. Intersection's
     // per-iteration cost is flat (at most one emitted pack per window
     // pair), so one iteration calibrates it; the emission-heavy modes
@@ -967,12 +885,12 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     constexpr uint64_t kCalIters = kMode == SopMode::kIntersect ? 1 : 32;
     for (;;) {
       // Iteration-head guard: the last iterations before the watchdog
-      // go back to the per-word machinery, which reports the deadline at
-      // the exact word. Region ends are checked per word below.
+      // go back to the per-word path, which reports the deadline at the
+      // exact word. Region ends are checked per word below.
       if (cycles + iter_margin >= max_cycles) {
-        if (!any_word) return SteadyOutcome::kDeclined;
+        if (!any_word) return false;
         sync(loop.head);
-        return SteadyOutcome::kHandedBack;
+        return true;
       }
       // --- Turbo bulk segment ---
       // After the calibration prefix, run the steady region as a raw
@@ -1003,7 +921,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         const size_t olimit = out_words > 2 * kTail ? out_words - 2 * kTail : 0;
         // The bulk reads the streams straight from their regions; one
         // that runs past its region's end stays with the exact stepper,
-        // which hands the faulting beat back to the per-word engine.
+        // which hands the faulting beat back to the per-word path.
         if (total_a > ca.consumed + 2 * kTail &&
             total_b > cb.consumed + 2 * kTail && total_a <= ca.words &&
             total_b <= cb.words && budget_el > 0 && out_pos + 4 <= olimit) {
@@ -1129,7 +1047,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         // --- STORE_SOP (ST; SOP; flag <- active) ---
         // The SOP outcome and the ST pack plan are computed first so a
         // result-FIFO overflow or a pack past the result region's end can
-        // hand back *before* any effect of the word (the per-word engine
+        // hand back *before* any effect of the word (the per-word path
         // then reproduces the exact error).
         const uint32_t* pa = ca.data + ca.consumed;
         const uint32_t* pb = cb.data + cb.consumed;
@@ -1167,13 +1085,13 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
           if (r + outcome.emit_count > result_fifo_.capacity() ||
               out_pos + 4 * planned > out_words) {
             // Real behavior is an error inside this word; hand back so
-            // the per-word engine reproduces it. With zero progress,
+            // the per-word path reproduces it. With zero progress,
             // decline instead (state is untouched) so the caller falls
-            // through to the generic engine -- handing back at the head
+            // through to the per-word path -- handing back at the head
             // would re-enter this stepper forever.
-            if (!any_word) return SteadyOutcome::kDeclined;
+            if (!any_word) return false;
             sync(loop.head + static_cast<uint32_t>(2 * k));
-            return SteadyOutcome::kHandedBack;
+            return true;
           }
         }
         ++bundles;
@@ -1237,7 +1155,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         // side once that stream is spent; LD_P both; flag <- active,
         // which loads cannot change. A live load whose beat would cross
         // the region end errors on the real path; hand back pre-word so
-        // the per-word engine raises it.
+        // the per-word path raises it.
         Cursor* merge_side = nullptr;
         bool past_end;
         if constexpr (kMode == SopMode::kMerge) {
@@ -1251,7 +1169,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
         }
         if (past_end) {
           sync(loop.head + static_cast<uint32_t>(2 * k + 1));
-          return SteadyOutcome::kHandedBack;
+          return true;
         }
         ++bundles;
         ++cycles;
@@ -1310,7 +1228,7 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
       branch_penalty += penalty;
       cycles += penalty;
       sync(branch_pc + 1);
-      return SteadyOutcome::kCompleted;
+      return true;
     }
   };
   switch (sop_mode) {
@@ -1323,130 +1241,20 @@ EisExtension::SteadyOutcome EisExtension::RunSetOpSteady(
     case SopMode::kMerge:
       return steady.template operator()<SopMode::kMerge>();
   }
-  return SteadyOutcome::kDeclined;
+  return false;
 }
 
-Result<bool> EisExtension::RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
-                                      bool exact, uint64_t max_cycles,
-                                      sim::ExecStats* stats) {
+bool EisExtension::RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
+                              bool exact, uint64_t max_cycles,
+                              sim::ExecStats* stats) {
   // The per-word path reports FailedPrecondition for 128-bit beats on a
   // narrow bus; decline so it gets the chance to.
   if (cpu.config().data_bus_bits < 128) return false;
-  const uint32_t penalty = cpu.config().branch_mispredict_penalty;
-  const size_t body_len = loop.body.size();
-  // Conservative worst-case cycles of one full iteration, for the
-  // turbo-mode watchdog margin: issue plus serialized beats per word
-  // (the burst drain can issue 8 beats of latency <= 4 on each port)
-  // plus the branch and its penalty.
-  const uint64_t iter_margin = static_cast<uint64_t>(body_len) * 65 + 1 +
-                               penalty;
-
-  BatchCtx ctx(&cpu);
-  // Local mirrors of the hot counters; flushed on every exit path so
-  // the accumulated ExecStats are exactly what the per-word path would
-  // have produced.
-  uint64_t cycles = stats->cycles;
-  uint64_t bundles = stats->bundles;
-  uint64_t instructions = stats->instructions;
-  uint64_t taken_branches = stats->taken_branches;
-  uint64_t mispredicted = stats->mispredicted_branches;
-  uint64_t branch_penalty = stats->branch_penalty_cycles;
-  uint64_t port_stall = stats->port_stall_cycles;
-  uint64_t beats0 = stats->lsu_beats[0];
-  uint64_t beats1 = stats->lsu_beats[1];
-  auto flush = [&]() {
-    stats->cycles = cycles;
-    stats->bundles = bundles;
-    stats->instructions = instructions;
-    stats->taken_branches = taken_branches;
-    stats->mispredicted_branches = mispredicted;
-    stats->branch_penalty_cycles = branch_penalty;
-    stats->port_stall_cycles = port_stall;
-    stats->lsu_beats[0] = beats0;
-    stats->lsu_beats[1] = beats1;
-  };
-  auto deadline = [&](uint32_t pc) {
-    cpu.set_pc(pc);
-    flush();
-    return Status::DeadlineExceeded(
-        "watchdog: exceeded " + std::to_string(max_cycles) + " cycles at pc " +
-        std::to_string(pc));
-  };
-
-  // Steady-state set-operation and merge loops take the cursor stepper;
-  // anything it cannot model exactly falls through to the generic engine
-  // below.
-  {
-    SteadyMirrors mirrors{cycles,     bundles,        instructions,
-                          taken_branches, mispredicted, branch_penalty,
-                          port_stall, beats0,         beats1};
-    const SteadyOutcome outcome =
-        RunSetOpSteady(loop, cpu, exact, max_cycles, iter_margin, mirrors);
-    if (outcome != SteadyOutcome::kDeclined) {
-      TieLoopCounter(mode() == SopMode::kMerge ? LoopEngine::kMergeStepper
-                                               : LoopEngine::kSetOpStepper)
-          ->Increment();
-      flush();
-      return true;
-    }
-  }
-  TieLoopCounter(LoopEngine::kPerWord)->Increment();
-
-  bool ran = false;
-  for (;;) {
-    if (!exact && cycles + iter_margin >= max_cycles) break;
-    for (size_t i = 0; i < body_len; ++i) {
-      if (exact && cycles >= max_cycles) {
-        return deadline(loop.head + static_cast<uint32_t>(i));
-      }
-      const isa::Instruction& instr = loop.body[i];
-      ++bundles;
-      ++cycles;  // issue cycle
-      ++instructions;
-      ctx.operand_ = instr.operand;
-      ctx.beats_[0] = 0;
-      ctx.beats_[1] = 0;
-      Status status = DispatchOp(instr.ext_id, ctx);
-      if (!status.ok()) {
-        cpu.set_pc(loop.head + static_cast<uint32_t>(i));
-        flush();
-        return status;
-      }
-      const uint32_t port_cycles = std::max(ctx.beats_[0], ctx.beats_[1]);
-      if (port_cycles > 1) {
-        port_stall += port_cycles - 1;
-        cycles += port_cycles - 1;
-      }
-      beats0 += ctx.beats_[0];
-      beats1 += ctx.beats_[1];
-    }
-    const uint32_t branch_pc = loop.head + static_cast<uint32_t>(body_len);
-    if (exact && cycles >= max_cycles) return deadline(branch_pc);
-    ++bundles;
-    ++cycles;
-    ++instructions;
-    // The branch is backward (imm < 0), so the static BTFN predictor
-    // predicts taken: the loop-continue case costs the issue cycle only
-    // and the final fall-through pays the mispredict penalty.
-    const bool taken =
-        EvalBranch(loop.branch, cpu.reg(loop.branch.rs1),
-                   cpu.reg(loop.branch.rs2));
-    ran = true;
-    if (taken) {
-      ++taken_branches;
-      continue;
-    }
-    ++mispredicted;
-    branch_penalty += penalty;
-    cycles += penalty;
-    cpu.set_pc(branch_pc + 1);
-    flush();
-    return true;
-  }
-  // Watchdog margin too tight for another batched iteration: hand back
-  // to the per-word loop, which checks the deadline word by word.
-  cpu.set_pc(loop.head);
-  flush();
+  const bool ran = RunSetOpSteady(loop, cpu, exact, max_cycles, *stats);
+  TieLoopCounter(!ran                        ? LoopEngine::kPerWord
+                 : mode() == SopMode::kMerge ? LoopEngine::kMergeStepper
+                                             : LoopEngine::kSetOpStepper)
+      ->Increment();
   return ran;
 }
 

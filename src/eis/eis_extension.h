@@ -28,7 +28,6 @@ inline constexpr uint16_t kLdLdpShuffle = 0x209;  // fused LD+LD_P+ST_S
 inline constexpr uint16_t kFlush = 0x20A;         // drain results, count->a5
 inline constexpr uint16_t kLdMerge = 0x20B;       // merge-sort load (+flag)
 inline constexpr uint16_t kSortBeat = 0x20C;      // presort 4 elems (+flag)
-inline constexpr uint16_t kCopyBeat = 0x20D;      // 128-bit copy (+flag)
 }  // namespace op
 
 /// INIT operand encoding: [1:0] SopMode, [2] partial loading enable.
@@ -61,14 +60,13 @@ struct EisCounters {
 /// single-LSU core the simulator folds all beats onto LSU0 and charges
 /// the port-contention cycles automatically.
 ///
-/// Also implements the simulator's LoopAccelerator interface: TIE-loop
-/// superblocks run inside the extension instead of through the per-word
-/// issue machinery, with the same semantics and the same cycle
-/// arithmetic (pinned by the differential test suite). The Figure 11
-/// set-op loops and the Figure 12 merge loop take the exact cursor
-/// stepper (RunSetOpSteady); every other TIE loop -- the presort
-/// SORT_BEAT loop, custom programs -- and whatever the stepper hands
-/// back runs on the per-word DispatchOp engine.
+/// Also implements the simulator's LoopAccelerator interface: the
+/// Figure 11 set-op loops and the Figure 12 merge loop run on the exact
+/// cursor stepper (RunSetOpSteady), with the same semantics and the same
+/// cycle arithmetic as the per-word path (pinned by the differential
+/// test suite). Every other TIE loop -- the presort SORT_BEAT loop,
+/// custom programs -- is declined and runs word by word on the core's
+/// superblock loop, as does the rest of any loop the stepper hands back.
 class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
  public:
   EisExtension();
@@ -77,9 +75,8 @@ class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
 
   // --- sim::LoopAccelerator ---
   bool MatchesTieLoop(const sim::TieLoop& loop) const override;
-  Result<bool> RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu, bool exact,
-                          uint64_t max_cycles,
-                          sim::ExecStats* stats) override;
+  bool RunTieLoop(const sim::TieLoop& loop, sim::Cpu& cpu, bool exact,
+                  uint64_t max_cycles, sim::ExecStats* stats) override;
 
   // --- Introspection for tests, the debug interface, and benches ---
   SopMode mode() const { return static_cast<SopMode>(mode_state_->Get()); }
@@ -127,77 +124,42 @@ class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
   bool ContinueFlag() const;
 
   // Instruction semantics (shared by primitive and fused forms).
-  // Templated on the execution context so the per-word path
-  // (sim::ExtContext) and the batch engine's fast context share one
-  // implementation -- the batch path cannot drift semantically. Defined
-  // in eis_extension.cc; both contexts are instantiated there.
-  template <typename Ctx>
-  Status Init(Ctx& ctx);
-  template <typename Ctx>
-  Status Ld(Ctx& ctx, int side_index);
+  Status Init(sim::ExtContext& ctx);
+  Status Ld(sim::ExtContext& ctx, int side_index);
   void LdP(int side_index);
-  template <typename Ctx>
-  Status Sop(Ctx& ctx);
+  Status Sop(sim::ExtContext& ctx);
   void StS();
-  template <typename Ctx>
-  Status St(Ctx& ctx);
-  template <typename Ctx>
-  Status Flush(Ctx& ctx);
-  template <typename Ctx>
-  Status LdMerge(Ctx& ctx);
-  template <typename Ctx>
-  Status SortBeat(Ctx& ctx);
-  template <typename Ctx>
-  Status CopyBeat(Ctx& ctx);
+  Status St(sim::ExtContext& ctx);
+  Status Flush(sim::ExtContext& ctx);
+  Status LdMerge(sim::ExtContext& ctx);
+  Status SortBeat(sim::ExtContext& ctx);
 
-  template <typename Ctx>
-  Status StorePack(Ctx& ctx, const std::array<uint32_t, 4>& pack);
+  Status StorePack(sim::ExtContext& ctx, const std::array<uint32_t, 4>& pack);
 
-  /// One EIS operation by id, shared by the registered per-word lambdas
-  /// and the batch engine (single dispatch table for both paths).
-  template <typename Ctx>
-  Status DispatchOp(uint16_t ext_id, Ctx& ctx);
-
-  /// Hot-counter mirrors shared between RunTieLoop and the steady-state
-  /// stepper.
-  struct SteadyMirrors {
-    uint64_t& cycles;
-    uint64_t& bundles;
-    uint64_t& instructions;
-    uint64_t& taken_branches;
-    uint64_t& mispredicted;
-    uint64_t& branch_penalty;
-    uint64_t& port_stall;
-    uint64_t& beats0;
-    uint64_t& beats1;
-  };
-  enum class SteadyOutcome {
-    kDeclined,    // stepper never ran; datapath state untouched
-    kHandedBack,  // stopped at a word boundary; state synced, pc set
-    kCompleted,   // loop fell through the branch; state synced, pc set
-  };
+  /// One EIS operation by id; every registered op dispatches through it.
+  Status DispatchOp(uint16_t ext_id, sim::ExtContext& ctx);
 
   /// Cursor-based fast path for the steady-state loops: the set-op loop
   /// unroll x [STORE_SOP, LD_LDP_SHUFFLE] of Figure 11 and, in merge
   /// mode, the merge-sort loop unroll x [STORE_SOP, LD_MERGE] of
   /// Figure 12, each closed by a branch on the flag register. Executes
   /// whole iterations on raw memory views with integer FIFO/window
-  /// occupancy modelling, writing result beats and accumulating exactly
-  /// the per-word stats and counters of the generic engine. Any case it
-  /// cannot model bit-exactly -- a result-FIFO overflow, a beat or pack
-  /// past its region's end, the watchdog margin, an output range that
-  /// overlaps unread input, an unexpected entry state -- hands back to
-  /// the per-word machinery at a word boundary, or declines if no word
-  /// has run yet.
+  /// occupancy modelling, writing result beats and accumulating into
+  /// `stats` and the counters exactly what the per-word path would. Any
+  /// case it cannot model bit-exactly -- a result-FIFO overflow, a beat
+  /// or pack past its region's end, the watchdog margin, an output range
+  /// that overlaps unread input, an unexpected entry state -- hands back
+  /// to the per-word path at a word boundary (state synced, pc set), or
+  /// declines if no word has run yet. Returns false when it declined,
+  /// with nothing touched.
   ///
   /// With `exact` false (turbo mode) the steady region of a set-op loop
   /// additionally runs through a raw two-pointer bulk loop: results stay
   /// element-exact, but cycles and beat counts for the bulk segment are
   /// extrapolated linearly from a short calibration prefix of exact
   /// iterations. Merge loops stay exact in turbo.
-  SteadyOutcome RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
-                               bool exact, uint64_t max_cycles,
-                               uint64_t iter_margin, SteadyMirrors& m);
+  bool RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu, bool exact,
+                      uint64_t max_cycles, sim::ExecStats& stats);
 
   // TIE states (scalar configuration/flag states).
   tie::TieState* mode_state_;     // 2 bits

@@ -761,12 +761,10 @@ Status Cpu::RunFastLoop(const RunOptions& options, ExecStats& stats) {
           block.accel_state =
               loop_accel_->MatchesTieLoop(loop) ? uint8_t{1} : uint8_t{2};
         }
-        if (block.accel_state == 1) {
-          DBA_ASSIGN_OR_RETURN(
-              bool handled,
-              loop_accel_->RunTieLoop(loop, *this, exact, options.max_cycles,
-                                      &stats));
-          if (handled) continue;
+        if (block.accel_state == 1 &&
+            loop_accel_->RunTieLoop(loop, *this, exact, options.max_cycles,
+                                    &stats)) {
+          continue;
         }
       }
     }

@@ -19,8 +19,8 @@ namespace dba::sim {
 ///    accumulate ExecStats with the same per-word arithmetic as the
 ///    interpreter -- cycles, stall decomposition, pc_counts/pc_cycles,
 ///    and trace-sink events are bit-identical to kInterpret.
-///  - kTurbo: opt-in. Recognized steady-state kernel loops run through
-///    the extension's batch engine; cycles are computed from the loop
+///  - kTurbo: opt-in. Recognized steady-state kernel loops run on the
+///    extension's cursor stepper; cycles are computed from the loop
 ///    model (issue counts plus beat-derived stalls) rather than
 ///    simulated word by word. Results are exact; cycle totals match the
 ///    cycle-accurate path for the shipped kernels (pinned by the

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/status.h"
 #include "isa/instruction.h"
 #include "sim/stats.h"
 
@@ -14,10 +13,9 @@ class Cpu;
 
 /// A superblock that is a steady-state extension loop: a straight-line
 /// body of base TIE words followed by one backward conditional branch to
-/// the head. The fast-forward/turbo run loops hand such blocks to the
-/// registered LoopAccelerator so whole iterations execute inside the
-/// extension (direct dispatch, cached memory routes) instead of going
-/// through the per-word issue machinery.
+/// the head. The fast-forward/turbo run loops offer such blocks to the
+/// registered LoopAccelerator, which may run whole iterations inside the
+/// extension instead of word by word.
 struct TieLoop {
   /// pc of the first body word.
   uint32_t head = 0;
@@ -33,13 +31,13 @@ struct TieLoop {
 /// that recognizes its own kernel loops (EisExtension registers one).
 ///
 /// Contract: RunTieLoop either declines (returns false, having touched
-/// nothing) or executes one or more *complete* loop iterations --
-/// including the backward branch and its prediction accounting -- and
-/// leaves architectural state, extension state, memory, `cpu.pc()`, and
-/// `*stats` exactly as the per-word path would. When the loop exits
-/// (branch not taken) the accelerator sets pc to the fall-through word.
-/// When it stops early (e.g. watchdog margin) it leaves pc at `head` so
-/// the caller's per-word loop continues seamlessly.
+/// nothing), and the loop then runs on the per-word path, or executes
+/// one or more words of the loop and stops at a word boundary, leaving
+/// architectural state, extension state, memory, `cpu.pc()`, and `*stats`
+/// exactly as the per-word path would. When the loop exits (branch not
+/// taken) the accelerator sets pc to the fall-through word; when it stops
+/// early (a fault ahead, the watchdog margin) it leaves pc at the first
+/// word it did not run, and the caller's per-word loop continues there.
 class LoopAccelerator {
  public:
   virtual ~LoopAccelerator() = default;
@@ -50,13 +48,12 @@ class LoopAccelerator {
 
   /// Runs loop iterations until the branch falls through, `max_cycles`
   /// is near, or the accelerator decides to yield. `exact` selects
-  /// cycle-exact fast-forward accounting (per-word watchdog checks);
-  /// otherwise the turbo loop model may batch iterations and check the
-  /// watchdog at iteration granularity with a conservative margin.
-  /// Returns false when declining at run time (caller falls back to the
-  /// per-word path without any state change).
-  virtual Result<bool> RunTieLoop(const TieLoop& loop, Cpu& cpu, bool exact,
-                                  uint64_t max_cycles, ExecStats* stats) = 0;
+  /// cycle-exact fast-forward accounting; otherwise the turbo loop model
+  /// may extrapolate cycles over batched iterations. Returns false when
+  /// declining at run time (caller falls back to the per-word path
+  /// without any state change).
+  virtual bool RunTieLoop(const TieLoop& loop, Cpu& cpu, bool exact,
+                          uint64_t max_cycles, ExecStats* stats) = 0;
 };
 
 }  // namespace dba::sim

@@ -301,15 +301,6 @@ TEST_F(EisExtensionTest, SortBeatPadsTailWithMax) {
   EXPECT_EQ(ext_.result_count(), 2u);
 }
 
-TEST_F(EisExtensionTest, CopyBeatCopiesAndFlags) {
-  auto stats = RunOps({5, 6, 7, 8, 9}, {}, SopMode::kMerge, true,
-                      {{op::kCopyBeat, 6}, {op::kCopyBeat, 6}});
-  ASSERT_TRUE(stats.ok());
-  auto out = *mem_c_.ReadBlock(kMemCBase, 5);
-  EXPECT_EQ(out, (std::vector<uint32_t>{5, 6, 7, 8, 9}));
-  EXPECT_EQ(cpu_.reg(Reg::a6), 0u);
-}
-
 TEST_F(EisExtensionTest, InitResetsDatapathButKeepsCounters) {
   auto stats = RunOps({1, 2, 3, 4}, {1, 2, 3, 4}, SopMode::kIntersect, true,
                       {{op::kLdLdpShuffle, 0},
@@ -368,12 +359,20 @@ uint64_t TieLoops(std::string_view engine) {
       ->Value();
 }
 
+struct EngineCounts {
+  uint64_t setop = TieLoops("setop_stepper");
+  uint64_t merge = TieLoops("merge_stepper");
+  uint64_t per_word = TieLoops("per_word");
+};
+
 // --- Stepper hand-backs ---
 //
-// The exact stepper hands a loop back to the per-word engine at the word
+// The exact stepper hands a loop back to the per-word path at the word
 // boundary before a fault or the watchdog. Driving the Figure 11 and
 // Figure 12 loops into both must leave the interpreter's status, faulting
-// pc, datapath counters and result region in every execution mode.
+// pc, datapath counters and result region in every execution mode. A loop
+// the stepper declines runs on the per-word path from its first word, and
+// must leave the same.
 
 struct LoopRun {
   std::string status;
@@ -475,6 +474,43 @@ TEST_F(EisStepperHandBackTest, MergeWatchdogMidLoop) {
                         150, /*max_cycles=*/180);
 }
 
+TEST_F(EisStepperHandBackTest, SortWatchdogInPresortLoop) {
+  // The stepper declines the presort SORT_BEAT loop, so the per-word
+  // path runs it from its first word and must report a deadline inside
+  // it exactly as the interpreter does. Each iteration costs a few
+  // cycles, so the sweep puts the deadline on both of its words, from
+  // the first iteration to about a dozen in.
+  auto program = dbkern::BuildEisMergeSort();
+  ASSERT_TRUE(program.ok());
+  uint32_t presort = 0;
+  for (const auto& [name, pc] : program->labels()) {
+    if (name == "presort_loop") presort = pc;
+  }
+  ASSERT_NE(presort, 0u);
+  const std::vector<uint32_t> values = GenerateSortInput(200, 7);
+  for (uint64_t max_cycles = 6; max_cycles <= 40; ++max_cycles) {
+    SCOPED_TRACE("max_cycles " + std::to_string(max_cycles));
+    const LoopRun want = Run(*program, values, {}, 200,
+                             sim::ExecMode::kInterpret, max_cycles);
+    EXPECT_NE(want.status.find("watchdog"), std::string::npos) << want.status;
+    EXPECT_TRUE(want.pc == presort || want.pc == presort + 1) << want.pc;
+    for (const sim::ExecMode exec :
+         {sim::ExecMode::kFastForward, sim::ExecMode::kTurbo}) {
+      SCOPED_TRACE(std::string(sim::ExecModeName(exec)));
+      const EngineCounts before;
+      const LoopRun got = Run(*program, values, {}, 200, exec, max_cycles);
+      const EngineCounts after;
+      EXPECT_EQ(after.per_word - before.per_word, 1u);
+      EXPECT_EQ(after.setop - before.setop, 0u);
+      EXPECT_EQ(after.merge - before.merge, 0u);
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.pc, want.pc);
+      test::ExpectCountersIdentical(got.counters, want.counters);
+      EXPECT_EQ(got.result, want.result);
+    }
+  }
+}
+
 TEST_F(EisExtensionTest, EisRequiresWideBus) {
   // On a 32-bit data bus (108Mini-like) the extension's beats fail.
   sim::CoreConfig narrow;
@@ -502,12 +538,6 @@ TEST_F(EisExtensionTest, EisRequiresWideBus) {
 // Every modeled number is the same whichever engine runs a loop, so the
 // dba_eis_tie_loops_total{engine} counter is the only place a stepper
 // that quietly declined would show.
-
-struct EngineCounts {
-  uint64_t setop = TieLoops("setop_stepper");
-  uint64_t merge = TieLoops("merge_stepper");
-  uint64_t per_word = TieLoops("per_word");
-};
 
 /// Merge pairs of an n-element sort: runs of 4 from the presort loop,
 /// then one pass per doubling of the run length while a run is shorter

@@ -529,5 +529,39 @@ TEST(BenchCompareTest, UnknownRunOnlyMetricsAreIgnored) {
   EXPECT_TRUE(comparison->tolerated.empty());
 }
 
+TEST(BenchCompareTest, NestedStringsAreNotRowIdentity) {
+  // intersect_adaptive's PLANNER rows report host-timed route names in a
+  // nested "routes" object: a route that flips between runs is a value,
+  // and the row is still found.
+  auto baseline = CompareDoc(
+      "{\"config\":\"PLANNER\",\"op\":\"intersect\",\"route\":\"planner\","
+      "\"routes\":{\"chosen\":\"simd_merge\","
+      "\"best_measured\":\"simd_merge\"},"
+      "\"skew\":\"1:16\",\"wall_ns\":4887}");
+  auto run = CompareDoc(
+      "{\"config\":\"PLANNER\",\"op\":\"intersect\",\"route\":\"planner\","
+      "\"routes\":{\"chosen\":\"simd_merge\","
+      "\"best_measured\":\"galloping\"},"
+      "\"skew\":\"1:16\",\"wall_ns\":4301}");
+  ASSERT_TRUE(baseline.ok() && run.ok());
+  auto comparison = CompareBenchDocuments(*run, *baseline, {});
+  ASSERT_TRUE(comparison.ok());
+  EXPECT_TRUE(comparison->missing_rows.empty());
+  EXPECT_TRUE(comparison->passed());
+
+  // The same flip in a top-level string changes the row's identity.
+  auto flat_baseline = CompareDoc(
+      "{\"config\":\"PLANNER\",\"op\":\"intersect\",\"route\":\"planner\","
+      "\"best_measured\":\"simd_merge\",\"skew\":\"1:16\",\"wall_ns\":4887}");
+  auto flat_run = CompareDoc(
+      "{\"config\":\"PLANNER\",\"op\":\"intersect\",\"route\":\"planner\","
+      "\"best_measured\":\"galloping\",\"skew\":\"1:16\",\"wall_ns\":4301}");
+  ASSERT_TRUE(flat_baseline.ok() && flat_run.ok());
+  auto flat = CompareBenchDocuments(*flat_run, *flat_baseline, {});
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(flat->missing_rows.size(), 1u);
+  EXPECT_FALSE(flat->passed());
+}
+
 }  // namespace
 }  // namespace dba::obs
