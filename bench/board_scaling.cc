@@ -215,6 +215,9 @@ int main(int argc, char** argv) {
       argc, argv, "board_scaling", dba::bench::Run, dba::bench::ParseFlag,
       "  --host-threads=<n>  host threads simulating board cores "
       "(0 = hardware concurrency, 1 = serial)\n"
-      "  --sim-mode=<mode>   core run-loop mode: interpret, fast-forward "
-      "(default), or turbo\n");
+      "  --sim-mode=<mode>   core run-loop mode: interpret (the reference "
+      "loop,\n"
+      "                      which profiled and traced runs always take), "
+      "fast-forward\n"
+      "                      (default), or turbo\n");
 }

@@ -339,6 +339,25 @@ Result<SetOpRun> Processor::RunMerge(std::span<const uint32_t> a,
   return ExecuteBinaryKernel(*program, a, b, settings, phase);
 }
 
+Result<sim::ExecStats> Processor::RunCore(const RunSettings& settings,
+                                          std::string_view phase) {
+  sim::RunOptions run_options;
+  run_options.mode = settings.sim_mode;
+  run_options.profile = settings.profile;
+  run_options.trace_limit = settings.trace_limit;
+  run_options.trace_sink = settings.trace_sink;
+  if (settings.max_cycles > 0) run_options.max_cycles = settings.max_cycles;
+  CountKernelInvocation(phase);
+  // The span begins the trace region and, once SetEndCycle runs, feeds the
+  // kernel-cycles histogram and ends the region. On failure the phase
+  // region stays open; the trace writer closes dangling regions at the
+  // last seen timestamp.
+  obs::ScopedSpan span(KernelCyclesHistogram(), settings.trace_sink, phase);
+  DBA_ASSIGN_OR_RETURN(sim::ExecStats stats, cpu_->Run(run_options));
+  span.SetEndCycle(stats.cycles);
+  return stats;
+}
+
 Result<SetOpRun> Processor::ExecuteBinaryKernel(
     const isa::Program& program, std::span<const uint32_t> a,
     std::span<const uint32_t> b, const RunSettings& settings,
@@ -381,22 +400,7 @@ Result<SetOpRun> Processor::ExecuteBinaryKernel(
   cpu_->set_reg(isa::abi::kLenB, static_cast<uint32_t>(b.size()));
   cpu_->set_reg(isa::abi::kPtrC, static_cast<uint32_t>(addr_c));
 
-  sim::RunOptions run_options;
-  run_options.mode = settings.sim_mode;
-  run_options.profile = settings.profile;
-  run_options.trace_limit = settings.trace_limit;
-  run_options.trace_sink = settings.trace_sink;
-  if (settings.max_cycles > 0) run_options.max_cycles = settings.max_cycles;
-  CountKernelInvocation(phase);
-  // The span begins the trace region and, once SetEndCycle runs, feeds the
-  // kernel-cycles histogram and ends the region. On failure the phase
-  // region stays open; the trace writer closes dangling regions at the
-  // last seen timestamp.
-  obs::ScopedSpan span(KernelCyclesHistogram(), settings.trace_sink, phase);
-  auto run_result = cpu_->Run(run_options);
-  if (!run_result.ok()) return run_result.status();
-  sim::ExecStats stats = *std::move(run_result);
-  span.SetEndCycle(stats.cycles);
+  DBA_ASSIGN_OR_RETURN(sim::ExecStats stats, RunCore(settings, phase));
 
   const uint32_t count = cpu_->reg(isa::abi::kLenC);
   DBA_ASSIGN_OR_RETURN(mem::Memory * result_memory,
@@ -453,20 +457,9 @@ Result<SortRun> Processor::RunSort(std::span<const uint32_t> values,
   cpu_->set_reg(isa::abi::kLenA, static_cast<uint32_t>(values.size()));
   cpu_->set_reg(isa::abi::kPtrC, static_cast<uint32_t>(buf1));
 
-  sim::RunOptions run_options;
-  run_options.mode = settings.sim_mode;
-  run_options.profile = settings.profile;
-  run_options.trace_limit = settings.trace_limit;
-  run_options.trace_sink = settings.trace_sink;
-  if (settings.max_cycles > 0) run_options.max_cycles = settings.max_cycles;
   const std::string phase =
       "sort[" + std::string(hwmodel::ConfigKindName(kind_)) + "]";
-  CountKernelInvocation(phase);
-  obs::ScopedSpan span(KernelCyclesHistogram(), settings.trace_sink, phase);
-  auto run_result = cpu_->Run(run_options);
-  if (!run_result.ok()) return run_result.status();
-  sim::ExecStats stats = *std::move(run_result);
-  span.SetEndCycle(stats.cycles);
+  DBA_ASSIGN_OR_RETURN(sim::ExecStats stats, RunCore(settings, phase));
 
   SortRun run;
   const uint32_t sorted_ptr = cpu_->reg(isa::abi::kLenC);

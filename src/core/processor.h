@@ -176,6 +176,12 @@ class Processor {
   }
 
   Result<const isa::Program*> GetProgram(SetOp op, bool scalar);
+  /// Runs the loaded program: the one place RunSettings become
+  /// sim::RunOptions (profile, trace_limit and trace_sink pick the core's
+  /// run loop). Counts the invocation under `phase` and wraps the run in
+  /// its kernel span.
+  Result<sim::ExecStats> RunCore(const RunSettings& settings,
+                                 std::string_view phase);
   Result<SetOpRun> ExecuteBinaryKernel(const isa::Program& program,
                                        std::span<const uint32_t> a,
                                        std::span<const uint32_t> b,

@@ -333,20 +333,7 @@ Status ExtContext::StoreWord(int lsu, uint64_t addr, uint32_t value) {
 
 // --- Execution ---
 
-Status Cpu::ExecuteTieOp(uint16_t ext_id, uint16_t operand,
-                         ExecStats* stats) {
-  auto it = ext_ops_.find(ext_id);
-  if (it == ext_ops_.end()) {
-    return Status::NotFound("unregistered extension op " +
-                            std::to_string(ext_id));
-  }
-  return ExecuteTieOpResolved(it->second, operand, stats);
-}
-
-Status Cpu::ExecuteTieOpResolved(const ExtOp& op, uint16_t operand,
-                                 ExecStats* stats) {
-  ExtContext ctx(this, operand);
-  DBA_RETURN_IF_ERROR(op.fn(ctx));
+void Cpu::Charge(const ExtContext& ctx, ExecStats* stats) {
   const uint32_t port_cycles = std::max(ctx.beats_[0], ctx.beats_[1]);
   if (port_cycles > 1) {
     stats->port_stall_cycles += port_cycles - 1;
@@ -356,11 +343,37 @@ Status Cpu::ExecuteTieOpResolved(const ExtOp& op, uint16_t operand,
   stats->cycles += ctx.extra_cycles_;
   stats->lsu_beats[0] += ctx.beats_[0];
   stats->lsu_beats[1] += ctx.beats_[1];
+}
+
+// Inline so that both run loops compile it into their loop bodies: as
+// an out-of-line call it cost the reference loop ~20% host time on
+// scalar kernels.
+inline Status Cpu::Step(ExecStats* stats, bool* halted) {
+  const uint32_t pc = pc_;
+  const isa::DecodedWord& word = decoded_[pc];
+  ++stats->bundles;
+  ++stats->cycles;  // issue cycle
+  if (word.kind == isa::DecodedWord::Kind::kBase) {
+    ++stats->instructions;
+    return ExecuteBase(word.base, stats, halted);
+  }
+  // FLIX bundle: all slots issue in the same cycle and share the LSU
+  // ports; port contention across slots serializes beats.
+  ExtContext ctx(this, 0);
+  for (int i = 0; i < isa::kMaxFlixSlots; ++i) {
+    const ExtOp* op = slot_ext_of_[pc][static_cast<size_t>(i)];
+    if (op == nullptr) continue;
+    ++stats->instructions;
+    ctx.operand_ = word.slots[static_cast<size_t>(i)].operand;
+    DBA_RETURN_IF_ERROR(op->fn(ctx));
+  }
+  Charge(ctx, stats);
+  pc_ = pc + 1;
   return Status::Ok();
 }
 
 Status Cpu::ExecuteBase(const Instruction& instr, ExecStats* stats,
-                        bool* halted, const ExtOp* resolved) {
+                        bool* halted) {
   const uint32_t rs1 = reg(instr.rs1);
   const uint32_t rs2 = reg(instr.rs2);
   const auto imm = static_cast<uint32_t>(instr.imm);
@@ -522,12 +535,12 @@ Status Cpu::ExecuteBase(const Instruction& instr, ExecStats* stats,
           static_cast<uint32_t>(static_cast<int64_t>(pc_) + 1 + instr.imm);
       break;
 
-    case Opcode::kTie:
-      DBA_RETURN_IF_ERROR(
-          resolved != nullptr
-              ? ExecuteTieOpResolved(*resolved, instr.operand, stats)
-              : ExecuteTieOp(instr.ext_id, instr.operand, stats));
+    case Opcode::kTie: {
+      ExtContext ctx(this, instr.operand);
+      DBA_RETURN_IF_ERROR(ext_of_[pc_]->fn(ctx));
+      Charge(ctx, stats);
       break;
+    }
   }
 
   if (!*halted) pc_ = next_pc;
@@ -539,9 +552,16 @@ Result<ExecStats> Cpu::Run(const RunOptions& options) {
     return Status::FailedPrecondition("no program loaded");
   }
   SimRunCounter(options.mode)->Increment();
-  Result<ExecStats> result = options.mode == ExecMode::kInterpret
-                                 ? RunInterpret(options)
-                                 : RunFast(options);
+  // Profiles, trace lines and cycle-trace regions need per-word
+  // bookkeeping, which only the reference loop keeps, and they are the
+  // same in every mode; so such runs take the reference loop whatever
+  // their mode.
+  const bool bookkeeping = options.profile || options.trace_limit != 0 ||
+                           options.trace_sink != nullptr;
+  Result<ExecStats> result =
+      options.mode == ExecMode::kInterpret || bookkeeping
+          ? RunInterpret(options)
+          : RunSuperblocks(options);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (result.ok()) {
     static obs::Counter* const cycles = registry.GetCounter(
@@ -617,8 +637,6 @@ Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
       stats.trace.push_back(
           head + isa::DisassembleWord(word, MakeExtNameResolver()));
     }
-    ++stats.bundles;
-    ++stats.cycles;  // issue cycle
 
     // Snapshot the stall counters so the deltas of this word can be
     // attributed to its pc (and through it, to its enclosing label).
@@ -631,43 +649,19 @@ Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
       before.ext_extra_cycles = stats.ext_extra_cycles;
       before.lsu_beats[0] = stats.lsu_beats[0];
       before.lsu_beats[1] = stats.lsu_beats[1];
+      if (word.kind == isa::DecodedWord::Kind::kFlix) {
+        for (const ExtOp* op : slot_ext_of_[issue_pc]) {
+          if (op != nullptr) ++stats.mnemonic_counts[op->name];
+        }
+      } else if (word.base.opcode == Opcode::kTie) {
+        ++stats.mnemonic_counts[ext_of_[issue_pc]->name];
+      } else {
+        ++stats.mnemonic_counts[std::string(
+            isa::OpcodeName(word.base.opcode))];
+      }
     }
 
-    if (word.kind == isa::DecodedWord::Kind::kBase) {
-      ++stats.instructions;
-      if (options.profile) {
-        if (word.base.opcode == Opcode::kTie) {
-          ++stats.mnemonic_counts[ext_ops_[word.base.ext_id].name];
-        } else {
-          ++stats.mnemonic_counts[std::string(
-              isa::OpcodeName(word.base.opcode))];
-        }
-      }
-      DBA_RETURN_IF_ERROR(ExecuteBase(word.base, &stats, &halted));
-    } else {
-      // FLIX bundle: all slots issue in the same cycle and share the
-      // LSU ports; port contention across slots serializes beats.
-      ExtContext ctx(this, 0);
-      for (const isa::TieSlot& slot : word.slots) {
-        if (slot.empty()) continue;
-        ++stats.instructions;
-        auto it = ext_ops_.find(slot.ext_id);
-        DBA_CHECK(it != ext_ops_.end());  // validated by LoadProgram
-        if (options.profile) ++stats.mnemonic_counts[it->second.name];
-        ctx.operand_ = slot.operand;
-        DBA_RETURN_IF_ERROR(it->second.fn(ctx));
-      }
-      const uint32_t port_cycles = std::max(ctx.beats_[0], ctx.beats_[1]);
-      if (port_cycles > 1) {
-        stats.port_stall_cycles += port_cycles - 1;
-        stats.cycles += port_cycles - 1;
-      }
-      stats.ext_extra_cycles += ctx.extra_cycles_;
-      stats.cycles += ctx.extra_cycles_;
-      stats.lsu_beats[0] += ctx.beats_[0];
-      stats.lsu_beats[1] += ctx.beats_[1];
-      pc_ = pc_ + 1;
-    }
+    DBA_RETURN_IF_ERROR(Step(&stats, &halted));
 
     if (options.profile) {
       PcCycleBreakdown& slot = stats.pc_cycles[issue_pc];
@@ -694,51 +688,8 @@ Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
   return stats;
 }
 
-Result<ExecStats> Cpu::RunFast(const RunOptions& options) {
+Result<ExecStats> Cpu::RunSuperblocks(const RunOptions& options) {
   ExecStats stats;
-  const bool lean = !options.profile && options.trace_limit == 0 &&
-                    options.trace_sink == nullptr;
-  Status status = Status::Ok();
-  if (lean && loop_accel_ != nullptr) {
-    status = RunFastLoop<true, true>(options, stats);
-  } else if (lean) {
-    status = RunFastLoop<true, false>(options, stats);
-  } else {
-    // Profiling, tracing, and cycle-trace sinks need per-word
-    // bookkeeping; the superblock loop provides it bit-identically, but
-    // the loop accelerator cannot, so it stays out of the picture.
-    status = RunFastLoop<false, false>(options, stats);
-  }
-  if (!status.ok()) return status;
-  return stats;
-}
-
-template <bool kLean, bool kAccel>
-Status Cpu::RunFastLoop(const RunOptions& options, ExecStats& stats) {
-  if (!kLean && options.profile) {
-    stats.pc_counts.resize(decoded_.size(), 0);
-    stats.pc_cycles.resize(decoded_.size());
-  }
-  CycleTraceSink* sink = kLean ? nullptr : options.trace_sink;
-  auto sample_counters = [&stats, sink](uint64_t cycle) {
-    sink->Counter(cycle, "stall/branch",
-                  static_cast<double>(stats.branch_penalty_cycles));
-    sink->Counter(cycle, "stall/load",
-                  static_cast<double>(stats.load_stall_cycles));
-    sink->Counter(cycle, "stall/store",
-                  static_cast<double>(stats.store_stall_cycles));
-    sink->Counter(cycle, "stall/port",
-                  static_cast<double>(stats.port_stall_cycles));
-    sink->Counter(cycle, "stall/ext",
-                  static_cast<double>(stats.ext_extra_cycles));
-    sink->Counter(cycle, "lsu0/beats",
-                  static_cast<double>(stats.lsu_beats[0]));
-    sink->Counter(cycle, "lsu1/beats",
-                  static_cast<double>(stats.lsu_beats[1]));
-  };
-  const std::string* open_region = nullptr;  // label of the open region
-
-  const size_t program_size = decoded_.size();
   const bool exact = options.mode != ExecMode::kTurbo;
   bool halted = false;
   while (!halted) {
@@ -747,151 +698,38 @@ Status Cpu::RunFastLoop(const RunOptions& options, ExecStats& stats) {
           "watchdog: exceeded " + std::to_string(options.max_cycles) +
           " cycles at pc " + std::to_string(pc_));
     }
-    if (pc_ >= program_size) {
+    if (pc_ >= decoded_.size()) {
       return Status::Internal("pc " + std::to_string(pc_) +
                               " outside the program (missing halt?)");
     }
     SuperBlock& block = blocks_[block_of_[pc_]];
-    if constexpr (kAccel) {
-      if (block.tie_loop && pc_ == block.head && block.accel_state != 2) {
-        const TieLoop loop{block.head,
-                           std::span<const isa::Instruction>(block.tie_body),
-                           block.tie_branch};
-        if (block.accel_state == 0) {
-          block.accel_state =
-              loop_accel_->MatchesTieLoop(loop) ? uint8_t{1} : uint8_t{2};
-        }
-        if (block.accel_state == 1 &&
-            loop_accel_->RunTieLoop(loop, *this, exact, options.max_cycles,
-                                    &stats)) {
-          continue;
-        }
+    if (loop_accel_ != nullptr && block.tie_loop && pc_ == block.head &&
+        block.accel_state != 2) {
+      const TieLoop loop{block.head,
+                         std::span<const isa::Instruction>(block.tie_body),
+                         block.tie_branch};
+      if (block.accel_state == 0) {
+        block.accel_state =
+            loop_accel_->MatchesTieLoop(loop) ? uint8_t{1} : uint8_t{2};
+      }
+      if (block.accel_state == 1 &&
+          loop_accel_->RunTieLoop(loop, *this, exact, options.max_cycles,
+                                  &stats)) {
+        continue;
       }
     }
-    const uint32_t head = block.head;
-    const uint32_t end = head + block.len;
     // Straight-line execution of one superblock. A taken backward
     // branch to `head` (the steady-state case) stays inside this loop;
-    // any other control transfer exits to the block dispatcher above.
-    bool first = true;
-    while (true) {
-      if (!first) {
-        if (stats.cycles >= options.max_cycles) {
-          return Status::DeadlineExceeded(
-              "watchdog: exceeded " + std::to_string(options.max_cycles) +
-              " cycles at pc " + std::to_string(pc_));
-        }
-        if (pc_ < head || pc_ >= end) break;
-      }
-      first = false;
-      const uint32_t issue_pc = pc_;
-      const isa::DecodedWord& word = decoded_[pc_];
-      if constexpr (!kLean) {
-        if (options.profile) ++stats.pc_counts[pc_];
-        if (sink != nullptr) {
-          const std::string& label = pc_labels_[issue_pc];
-          if (open_region == nullptr || label != *open_region) {
-            if (open_region != nullptr) {
-              sink->EndRegion(stats.cycles);
-              sample_counters(stats.cycles);
-            }
-            sink->BeginRegion(stats.cycles,
-                              label.empty() ? std::string_view("(entry)")
-                                            : std::string_view(label));
-            open_region = &label;
-          }
-        }
-        if (stats.trace.size() < options.trace_limit) {
-          char head_buf[32];
-          std::snprintf(head_buf, sizeof head_buf, "%8llu %4u: ",
-                        static_cast<unsigned long long>(stats.cycles), pc_);
-          stats.trace.push_back(
-              head_buf + isa::DisassembleWord(word, MakeExtNameResolver()));
-        }
-      }
-      ++stats.bundles;
-      ++stats.cycles;  // issue cycle
-
-      PcCycleBreakdown before;
-      if constexpr (!kLean) {
-        if (options.profile) {
-          before.branch_penalty_cycles = stats.branch_penalty_cycles;
-          before.load_stall_cycles = stats.load_stall_cycles;
-          before.store_stall_cycles = stats.store_stall_cycles;
-          before.port_stall_cycles = stats.port_stall_cycles;
-          before.ext_extra_cycles = stats.ext_extra_cycles;
-          before.lsu_beats[0] = stats.lsu_beats[0];
-          before.lsu_beats[1] = stats.lsu_beats[1];
-        }
-      }
-
-      if (word.kind == isa::DecodedWord::Kind::kBase) {
-        ++stats.instructions;
-        if constexpr (!kLean) {
-          if (options.profile) {
-            if (word.base.opcode == Opcode::kTie) {
-              ++stats.mnemonic_counts[ext_of_[issue_pc]->name];
-            } else {
-              ++stats.mnemonic_counts[std::string(
-                  isa::OpcodeName(word.base.opcode))];
-            }
-          }
-        }
-        DBA_RETURN_IF_ERROR(
-            ExecuteBase(word.base, &stats, &halted, ext_of_[issue_pc]));
-      } else {
-        // FLIX bundle: all slots issue in the same cycle and share the
-        // LSU ports; port contention across slots serializes beats.
-        ExtContext ctx(this, 0);
-        for (int i = 0; i < isa::kMaxFlixSlots; ++i) {
-          const ExtOp* op = slot_ext_of_[issue_pc][static_cast<size_t>(i)];
-          if (op == nullptr) continue;
-          ++stats.instructions;
-          if constexpr (!kLean) {
-            if (options.profile) ++stats.mnemonic_counts[op->name];
-          }
-          ctx.operand_ = word.slots[static_cast<size_t>(i)].operand;
-          DBA_RETURN_IF_ERROR(op->fn(ctx));
-        }
-        const uint32_t port_cycles = std::max(ctx.beats_[0], ctx.beats_[1]);
-        if (port_cycles > 1) {
-          stats.port_stall_cycles += port_cycles - 1;
-          stats.cycles += port_cycles - 1;
-        }
-        stats.ext_extra_cycles += ctx.extra_cycles_;
-        stats.cycles += ctx.extra_cycles_;
-        stats.lsu_beats[0] += ctx.beats_[0];
-        stats.lsu_beats[1] += ctx.beats_[1];
-        pc_ = pc_ + 1;
-      }
-
-      if constexpr (!kLean) {
-        if (options.profile) {
-          PcCycleBreakdown& slot = stats.pc_cycles[issue_pc];
-          slot.issue_cycles += 1;
-          slot.branch_penalty_cycles +=
-              stats.branch_penalty_cycles - before.branch_penalty_cycles;
-          slot.load_stall_cycles +=
-              stats.load_stall_cycles - before.load_stall_cycles;
-          slot.store_stall_cycles +=
-              stats.store_stall_cycles - before.store_stall_cycles;
-          slot.port_stall_cycles +=
-              stats.port_stall_cycles - before.port_stall_cycles;
-          slot.ext_extra_cycles +=
-              stats.ext_extra_cycles - before.ext_extra_cycles;
-          slot.lsu_beats[0] += stats.lsu_beats[0] - before.lsu_beats[0];
-          slot.lsu_beats[1] += stats.lsu_beats[1] - before.lsu_beats[1];
-        }
-      }
-      if (halted) break;
-    }
+    // any other control transfer, and the watchdog, exit to the block
+    // dispatcher above.
+    const uint32_t head = block.head;
+    const uint32_t end = head + block.len;
+    do {
+      DBA_RETURN_IF_ERROR(Step(&stats, &halted));
+    } while (!halted && pc_ >= head && pc_ < end &&
+             stats.cycles < options.max_cycles);
   }
-
-  if (sink != nullptr && open_region != nullptr) {
-    sink->EndRegion(stats.cycles);
-    sample_counters(stats.cycles);
-  }
-  return Status::Ok();
+  return stats;
 }
 
 }  // namespace dba::sim

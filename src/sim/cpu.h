@@ -21,12 +21,14 @@
 
 namespace dba::sim {
 
-/// Execution controls for Cpu::Run.
+/// Execution controls for Cpu::Run. Setting `profile`, `trace_limit` or
+/// `trace_sink` sends the run to the reference loop in every mode (they
+/// need per-word bookkeeping); only lean fast-forward and turbo runs take
+/// the superblock loop and offer TIE loops to the loop accelerator.
 struct RunOptions {
   /// How the run loop advances the machine (see sim/exec_mode.h). The
   /// default fast-forward path is bit-identical to the interpreter;
-  /// turbo is opt-in and trades per-pc profiling for batch execution of
-  /// recognized kernel loops.
+  /// turbo is opt-in and batch-executes recognized kernel loops.
   ExecMode mode = ExecMode::kFastForward;
   /// Watchdog: abort with DeadlineExceeded after this many cycles.
   uint64_t max_cycles = 1ull << 36;
@@ -74,8 +76,9 @@ class Cpu {
   bool HasExtOp(uint16_t ext_id) const { return ext_ops_.count(ext_id) != 0; }
 
   /// Registers the batch executor for steady-state extension loops
-  /// (non-owning; may be null to clear). Consulted by the fast-forward
-  /// and turbo run loops for superblocks that are TIE loops.
+  /// (non-owning; may be null to clear). Consulted by the superblock loop
+  /// of lean fast-forward and turbo runs for superblocks that are TIE
+  /// loops.
   void SetLoopAccelerator(LoopAccelerator* accel) { loop_accel_ = accel; }
   LoopAccelerator* loop_accelerator() const { return loop_accel_; }
 
@@ -133,21 +136,28 @@ class Cpu {
     ExtOpFn fn;
   };
 
+  /// Issues the word at pc: its issue cycle, its semantics through the
+  /// exec plan's resolved extension handlers, and its stall cycles. The
+  /// one per-word executor of both run loops; sets *halted on kHalt.
+  /// Defined inline in cpu.cc, the only file that calls it.
+  inline Status Step(ExecStats* stats, bool* halted);
   Status ExecuteBase(const isa::Instruction& instr, ExecStats* stats,
-                     bool* halted, const ExtOp* resolved = nullptr);
-  Status ExecuteTieOp(uint16_t ext_id, uint16_t operand, ExecStats* stats);
-  Status ExecuteTieOpResolved(const ExtOp& op, uint16_t operand,
-                              ExecStats* stats);
+                     bool* halted);
+  /// Charges the beats and datapath cycles that the extension operations
+  /// of one issued word recorded in `ctx`.
+  static void Charge(const ExtContext& ctx, ExecStats* stats);
   Result<mem::Memory*> RouteData(uint64_t addr, uint64_t bytes);
 
   /// Segments the freshly decoded program into superblocks and resolves
   /// the per-pc extension handlers (decode-once micro-traces).
   void BuildExecPlan();
 
+  /// The reference loop: word by word, with the profile, trace and
+  /// cycle-trace bookkeeping around each Step.
   Result<ExecStats> RunInterpret(const RunOptions& options);
-  Result<ExecStats> RunFast(const RunOptions& options);
-  template <bool kLean, bool kAccel>
-  Status RunFastLoop(const RunOptions& options, ExecStats& stats);
+  /// The superblock loop of lean fast-forward and turbo runs: no per-word
+  /// bookkeeping, TIE loops offered to the loop accelerator.
+  Result<ExecStats> RunSuperblocks(const RunOptions& options);
 
   CoreConfig config_;
   mem::MemorySystem memory_system_;

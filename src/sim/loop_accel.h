@@ -13,9 +13,10 @@ class Cpu;
 
 /// A superblock that is a steady-state extension loop: a straight-line
 /// body of base TIE words followed by one backward conditional branch to
-/// the head. The fast-forward/turbo run loops offer such blocks to the
-/// registered LoopAccelerator, which may run whole iterations inside the
-/// extension instead of word by word.
+/// the head. Only the superblock loop of lean fast-forward and turbo runs
+/// offers such blocks to the registered LoopAccelerator, which may run
+/// whole iterations inside the extension instead of word by word;
+/// profiled and traced runs take the reference loop and never do.
 struct TieLoop {
   /// pc of the first body word.
   uint32_t head = 0;
@@ -31,13 +32,14 @@ struct TieLoop {
 /// that recognizes its own kernel loops (EisExtension registers one).
 ///
 /// Contract: RunTieLoop either declines (returns false, having touched
-/// nothing), and the loop then runs on the per-word path, or executes
-/// one or more words of the loop and stops at a word boundary, leaving
-/// architectural state, extension state, memory, `cpu.pc()`, and `*stats`
-/// exactly as the per-word path would. When the loop exits (branch not
-/// taken) the accelerator sets pc to the fall-through word; when it stops
-/// early (a fault ahead, the watchdog margin) it leaves pc at the first
-/// word it did not run, and the caller's per-word loop continues there.
+/// nothing), and the loop then runs word by word on the superblock loop,
+/// or executes one or more words of the loop and stops at a word
+/// boundary, leaving architectural state, extension state, memory,
+/// `cpu.pc()`, and `*stats` exactly as the per-word path would. When the
+/// loop exits (branch not taken) the accelerator sets pc to the
+/// fall-through word; when it stops early (a fault ahead, the watchdog
+/// margin) it leaves pc at the first word it did not run, and the
+/// superblock loop continues there word by word.
 class LoopAccelerator {
  public:
   virtual ~LoopAccelerator() = default;

@@ -2,21 +2,24 @@
 #define DBA_TESTS_SHARED_KERNEL_GRID_H_
 
 // The ten kernel programs of a Processor (four set ops and sort, each in
-// EIS and scalar form), one runner for them, and the bit-identity checks
-// the execution-mode suites apply to their runs: every ExecStats field,
-// including the per-pc profile vectors, and the EIS datapath counters.
+// EIS and scalar form), one runner for them, the bit-identity checks
+// the execution-mode suites apply to their runs (every ExecStats field,
+// including the per-pc profile vectors, and the EIS datapath counters),
+// and the count of TIE-loop entries by the engine that ran them.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/processor.h"
 #include "eis/eis_extension.h"
+#include "obs/metrics/metrics.h"
 #include "sim/stats.h"
 
 namespace dba::test {
@@ -118,6 +121,16 @@ inline void ExpectCountersIdentical(const eis::EisCounters& got,
   EXPECT_EQ(got.matches, want.matches);
   EXPECT_EQ(got.load_beats, want.load_beats);
   EXPECT_EQ(got.store_beats, want.store_beats);
+}
+
+/// TIE-loop entries so far that the given engine ran
+/// (dba_eis_tie_loops_total{engine}: "setop_stepper", "merge_stepper" or
+/// "per_word"). Only the core's superblock loop offers loops to the
+/// loop accelerator, so a run that takes the reference loop adds none.
+inline uint64_t TieLoops(std::string_view engine) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("dba_eis_tie_loops_total", "engine", engine)
+      ->Value();
 }
 
 }  // namespace dba::test

@@ -17,7 +17,6 @@
 #include "isa/assembler.h"
 #include "isa/registers.h"
 #include "mem/memory.h"
-#include "obs/metrics/metrics.h"
 #include "shared/kernel_grid.h"
 #include "sim/cpu.h"
 
@@ -351,13 +350,7 @@ TEST_F(EisExtensionTest, FlushWithFullStoreStatesAndPendingResults) {
             (std::vector<uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
 }
 
-/// TIE-loop entries so far that the given engine ran
-/// (dba_eis_tie_loops_total{engine}).
-uint64_t TieLoops(std::string_view engine) {
-  return obs::MetricsRegistry::Global()
-      .GetCounter("dba_eis_tie_loops_total", "engine", engine)
-      ->Value();
-}
+using test::TieLoops;
 
 struct EngineCounts {
   uint64_t setop = TieLoops("setop_stepper");

@@ -170,8 +170,11 @@ void PrintUsage() {
       "  --unroll=N               EIS core-loop unroll factor (default 32)\n"
       "  --sim-mode=MODE          core run loop: interpret | fast-forward"
       " | turbo\n"
-      "                           (default fast-forward; turbo cycles are\n"
-      "                           model-derived, see docs/ARCHITECTURE.md)\n"
+      "                           (default fast-forward; interpret is the\n"
+      "                           reference loop, which profile, trace,\n"
+      "                           --profile and --trace always run; turbo\n"
+      "                           cycles are model-derived, see\n"
+      "                           docs/ARCHITECTURE.md)\n"
       "  --tech28                 use the 28 nm node for timing/energy\n"
       "  --scalar                 force the scalar kernel\n"
       "  --stream                 stream via the data prefetcher\n"
