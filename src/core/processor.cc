@@ -1,9 +1,12 @@
 #include "core/processor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <utility>
 
 #include "common/bits.h"
+#include "common/check.h"
 #include "dbkern/scalar_kernels.h"
 #include "isa/registers.h"
 #include "obs/metrics/metrics.h"
@@ -22,15 +25,31 @@ obs::Histogram* KernelCyclesHistogram() {
   return histogram;
 }
 
-// One invocation counter per kernel label ("intersect[DBA_2LSU_EIS]" ->
-// kernel="intersect").  The registry lookup is a mutex + map find, paid
-// once per kernel run, which is negligible next to the run itself.
+// dba_core_kernel_invocations_total{kernel}, one counter per kernel label
+// ("intersect[DBA_2LSU_EIS]" -> kernel="intersect"). Each label's counter
+// is resolved on the label's first run and kept, as every other
+// instrument here is: board cores run kernels from several host threads
+// at once, and a registry lookup per run made them queue on the
+// registry's mutex.
 void CountKernelInvocation(std::string_view phase) {
+  static constexpr std::string_view kKernels[] = {
+      "intersect", "union", "difference", "merge", "sort"};
+  static std::atomic<obs::Counter*> counters[std::size(kKernels)];
   const std::string_view kernel = phase.substr(0, phase.find('['));
-  obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "dba_core_kernel_invocations_total", "kernel", kernel,
-      "Kernel invocations by kernel label.");
-  if (counter != nullptr) counter->Increment();
+  const size_t index = static_cast<size_t>(
+      std::find(std::begin(kKernels), std::end(kKernels), kernel) -
+      std::begin(kKernels));
+  DBA_CHECK_MSG(index < std::size(kKernels), "unknown kernel label");
+  obs::Counter* counter = counters[index].load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // Two threads may both look the label up; the registry returns the
+    // same counter to both.
+    counter = obs::MetricsRegistry::Global().GetCounter(
+        "dba_core_kernel_invocations_total", "kernel", kernel,
+        "Kernel invocations by kernel label.");
+    counters[index].store(counter, std::memory_order_release);
+  }
+  counter->Increment();
 }
 
 obs::Counter* ProgramCacheHits() {

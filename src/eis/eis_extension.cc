@@ -59,19 +59,24 @@ bool MatchSteadyLoopShape(const sim::TieLoop& loop, uint16_t load_op,
 /// bounds checks, mode dispatched at compile time). Semantics are
 /// mirrored line for line from ComputeSop -- consumption limits, the
 /// two-pointer order, and the four-element emission truncation -- and
-/// pinned to it by the differential test suite.
+/// pinned to it by the differential test suite. Result slot k lands in
+/// ring[(at + k) & 63]; the slots just past the emitted ones are scratch
+/// (at most five are written).
 struct SteadySopOutcome {
   int consume_a = 0;
   int consume_b = 0;
   int emit_count = 0;
   int matches = 0;
-  uint32_t emit[5];  // slot 4 is scratch for the branchless writes
 };
 
 template <SopMode kMode>
 inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
-                                  const uint32_t* pb, int wb, bool ue_b) {
+                                  const uint32_t* pb, int wb, bool ue_b,
+                                  uint32_t* ring, uint64_t at) {
   SteadySopOutcome out;
+  const auto emit = [ring, at](int slot, uint32_t value) {
+    ring[(at + static_cast<uint64_t>(slot)) & 63] = value;
+  };
   int limit_a = 0;
   int limit_b = 0;
   if (wb > 0) {
@@ -120,10 +125,8 @@ inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
       truncated = true;
       break;
     }
-    out.emit[out.emit_count] = value;
-    if constexpr (kMode == SopMode::kMerge) {
-      out.emit[out.emit_count + 1] = value;
-    }
+    emit(out.emit_count, value);
+    if constexpr (kMode == SopMode::kMerge) emit(out.emit_count + 1, value);
     out.emit_count += want;
     out.matches += eq ? 1 : 0;
     i += ale ? 1 : 0;
@@ -135,11 +138,11 @@ inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
       if constexpr (kMode == SopMode::kIntersect) {
         i = limit_a;  // consumed without emission
       } else {
-        while (i < limit_a && out.emit_count < 4) out.emit[out.emit_count++] = pa[i++];
+        while (i < limit_a && out.emit_count < 4) emit(out.emit_count++, pa[i++]);
       }
     } else if (j < limit_b) {
       if constexpr (kMode == SopMode::kUnion || kMode == SopMode::kMerge) {
-        while (j < limit_b && out.emit_count < 4) out.emit[out.emit_count++] = pb[j++];
+        while (j < limit_b && out.emit_count < 4) emit(out.emit_count++, pb[j++]);
       } else {
         j = limit_b;  // consumed without emission
       }
@@ -149,6 +152,24 @@ inline SteadySopOutcome SteadySop(const uint32_t* pa, int wa, bool ue_a,
   out.consume_b = j;
   return out;
 }
+
+/// Raw cursor over one input stream of the stepper. The window is the
+/// element slice [consumed, consumed+win), the Load states the slice
+/// behind it; both are contiguous prefixes of the stream, so integer
+/// occupancy plus one base pointer reproduce the SmallFifo/Window
+/// structures exactly.
+struct Cursor {
+  const uint32_t* data = nullptr;  // whole backing region as words
+  size_t words = 0;                // region size in words
+  uint64_t base = 0;               // region base address
+  size_t pos = 0;                  // word index of ptr (next beat)
+  size_t consumed = 0;             // word index of the window start
+  uint32_t rem = 0;
+  int win = 0;
+  int fifo = 0;
+  uint32_t lat = 1;
+  bool has_span = false;
+};
 
 #if defined(__x86_64__)
 
@@ -251,23 +272,24 @@ __attribute__((target("ssse3,popcnt"))) inline void SimdIntersectRun(
   *pmatches = matches;
 }
 
-/// SIMD form of one exact intersect SOP word. Valid because intersect
-/// never truncates its emission (at most four matches per window pair)
-/// and the two-pointer always consumes exactly to the consumption
-/// limits; the emitted values are the matched A lanes in order. Needs
-/// four loadable elements behind each window start and a strictly
-/// increasing A block (the monotone-stream case; anything else returns
-/// false and takes the scalar path with exact pairwise semantics).
+/// SIMD form of one exact intersect SOP word over two full windows.
+/// Valid because intersect never truncates its emission (at most four
+/// matches per window pair) and the two-pointer always consumes exactly
+/// to the consumption limits; the emitted values are the matched A lanes
+/// in order, written to ring[(at + k) & 63] as in SteadySop. Needs a
+/// strictly increasing A block (the monotone-stream case; anything else
+/// returns false and takes the scalar path with exact pairwise
+/// semantics).
 __attribute__((target("ssse3,popcnt"))) inline bool SimdSopIntersect(
-    const uint32_t* pa, int wa, const uint32_t* pb, int wb,
+    const uint32_t* pa, const uint32_t* pb, uint32_t* ring, uint64_t at,
     SteadySopOutcome* out) {
   if (!(pa[0] < pa[1] && pa[1] < pa[2] && pa[2] < pa[3])) return false;
-  const uint32_t amax = pa[wa - 1];
-  const uint32_t bmax = pb[wb - 1];
+  const uint32_t amax = pa[3];
+  const uint32_t bmax = pb[3];
   int limit_a = 0;
-  for (int i = 0; i < wa; ++i) limit_a += pa[i] <= bmax ? 1 : 0;
+  for (int i = 0; i < 4; ++i) limit_a += pa[i] <= bmax ? 1 : 0;
   int limit_b = 0;
-  for (int j = 0; j < wb; ++j) limit_b += pb[j] <= amax ? 1 : 0;
+  for (int j = 0; j < 4; ++j) limit_b += pb[j] <= amax ? 1 : 0;
   const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa));
   const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb));
   __m128i m = _mm_cmpeq_epi32(va, vb);
@@ -279,12 +301,119 @@ __attribute__((target("ssse3,popcnt"))) inline bool SimdSopIntersect(
   const __m128i comp = _mm_shuffle_epi8(
       va,
       _mm_load_si128(reinterpret_cast<const __m128i*>(kCompact.ctl[mask])));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out->emit), comp);
+  alignas(16) uint32_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), comp);
+  for (int k = 0; k < 4; ++k) {
+    ring[(at + static_cast<uint64_t>(k)) & 63] = lanes[k];
+  }
   const int n = __builtin_popcount(static_cast<unsigned>(mask));
   out->emit_count = n;
   out->matches = n;
   out->consume_a = limit_a;
   out->consume_b = limit_b;
+  return true;
+}
+
+/// Rank terms of one rotation of the other window: lanes of `other`
+/// strictly below each lane of `self` are added to *below (as -1 masks,
+/// hence the subtraction), equal lanes or-ed into *equal. Both operands
+/// carry their sign bit flipped, so the signed compare orders them as
+/// unsigned values.
+template <int kRotation>
+inline void RankAgainst(__m128i self, __m128i other, __m128i* below,
+                        __m128i* equal) {
+  const __m128i rotated = _mm_shuffle_epi32(other, kRotation);
+  *below = _mm_sub_epi32(*below, _mm_cmpgt_epi32(self, rotated));
+  *equal = _mm_or_si128(*equal, _mm_cmpeq_epi32(self, rotated));
+}
+
+/// One compare-exchange stage of a sorting network on sign-flipped lanes:
+/// each lane meets the lane `kPartner` names, the lanes set in `low`
+/// keep the smaller value and the others the larger.
+template <int kPartner>
+inline __m128i CompareExchange(__m128i v, __m128i low) {
+  const __m128i partner = _mm_shuffle_epi32(v, kPartner);
+  const __m128i v_greater = _mm_cmpgt_epi32(v, partner);
+  const __m128i smaller = _mm_or_si128(_mm_and_si128(v_greater, partner),
+                                       _mm_andnot_si128(v_greater, v));
+  const __m128i larger = _mm_or_si128(_mm_andnot_si128(v_greater, partner),
+                                      _mm_and_si128(v_greater, v));
+  return _mm_or_si128(_mm_and_si128(low, smaller),
+                      _mm_andnot_si128(low, larger));
+}
+
+/// Bit counts of the 4-bit lane masks _mm_movemask_ps returns.
+constexpr int kLaneCount[16] = {0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4};
+
+inline int LaneCount(__m128i mask) {
+  return kLaneCount[_mm_movemask_ps(_mm_castsi128_ps(mask))];
+}
+
+/// SIMD form of one exact merge SOP word over two full windows (SSE2, so
+/// it needs no CPU check). The two-pointer walk of SteadySop consumes in
+/// value order, a matched pair as one step that fills two Result slots,
+/// and stops at the first step that does not fit the four; so a lane is
+/// consumed exactly when its step ends within the four slots. A lane
+/// past its side's consumption limit exceeds the other window's maximum,
+/// so at least four lanes rank before it and the limits need no mask.
+/// The emitted values are the smallest of the eight lanes in order:
+/// a ++ reverse(b) is bitonic, its lane-wise minimum holds the four
+/// smallest, and two half-cleaners sort them. The ranks count a
+/// duplicate inside one side against the other side only when nothing
+/// matches across the sides; with both (in a sort's runs) this returns
+/// false, writing nothing, and SteadySop runs the word.
+inline bool SimdSopMerge(const uint32_t* pa, const uint32_t* pb,
+                         uint32_t* ring, uint64_t at, SteadySopOutcome* out) {
+  const __m128i sign = _mm_set1_epi32(INT32_MIN);
+  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa));
+  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb));
+  const __m128i sa = _mm_xor_si128(va, sign);
+  const __m128i sb = _mm_xor_si128(vb, sign);
+  __m128i below_a = _mm_setzero_si128();
+  __m128i equal_a = _mm_setzero_si128();
+  __m128i below_b = _mm_setzero_si128();
+  __m128i equal_b = _mm_setzero_si128();
+  RankAgainst<0xE4>(sa, sb, &below_a, &equal_a);
+  RankAgainst<0x39>(sa, sb, &below_a, &equal_a);
+  RankAgainst<0x4E>(sa, sb, &below_a, &equal_a);
+  RankAgainst<0x93>(sa, sb, &below_a, &equal_a);
+  RankAgainst<0xE4>(sb, sa, &below_b, &equal_b);
+  RankAgainst<0x39>(sb, sa, &below_b, &equal_b);
+  RankAgainst<0x4E>(sb, sa, &below_b, &equal_b);
+  RankAgainst<0x93>(sb, sa, &below_b, &equal_b);
+  if (_mm_movemask_epi8(equal_a) != 0) {
+    // Lanes 1-3 equal to their predecessor: a duplicate inside a side.
+    const __m128i dup = _mm_or_si128(
+        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(va, 0x90)),
+        _mm_cmpeq_epi32(vb, _mm_shuffle_epi32(vb, 0x90)));
+    if ((_mm_movemask_ps(_mm_castsi128_ps(dup)) & 0xE) != 0) return false;
+  }
+  // A lane's step starts after the lanes below it on both sides and
+  // ends one slot later, two for a matched pair; it fits if it ends by
+  // the fourth slot.
+  const auto fits = [](__m128i below, __m128i equal) {
+    const __m128i last = _mm_sub_epi32(
+        _mm_add_epi32(_mm_setr_epi32(0, 1, 2, 3), below), equal);
+    return _mm_cmpgt_epi32(_mm_set1_epi32(4), last);
+  };
+  const __m128i fits_a = fits(below_a, equal_a);
+  // Lane-wise minimum of a and reverse(b), then distance-2 and distance-1
+  // half-cleaners (the lower lane of each pair keeps the minimum).
+  const __m128i srb = _mm_shuffle_epi32(sb, 0x1B);
+  const __m128i a_greater = _mm_cmpgt_epi32(sa, srb);
+  __m128i lo = _mm_or_si128(_mm_and_si128(a_greater, srb),
+                            _mm_andnot_si128(a_greater, sa));
+  lo = CompareExchange<0x4E>(lo, _mm_setr_epi32(-1, -1, 0, 0));
+  lo = CompareExchange<0xB1>(lo, _mm_setr_epi32(-1, 0, -1, 0));
+  alignas(16) uint32_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), _mm_xor_si128(lo, sign));
+  for (int k = 0; k < 4; ++k) {
+    ring[(at + static_cast<uint64_t>(k)) & 63] = lanes[k];
+  }
+  out->consume_a = LaneCount(fits_a);
+  out->consume_b = LaneCount(fits(below_b, equal_b));
+  out->emit_count = out->consume_a + out->consume_b;
+  out->matches = LaneCount(_mm_and_si128(fits_a, equal_a));
   return true;
 }
 
@@ -442,13 +571,18 @@ bool EisExtension::ContinueFlag() const {
 Status EisExtension::Init(ExtContext& ctx) {
   // Reset the datapath but keep the activity counters: INIT runs once
   // per merge pair inside the sort kernel, and the counters aggregate a
-  // whole run (ResetState clears them between Processor runs).
-  const EisCounters saved_counters = counters_;
-  ResetState();
-  counters_ = saved_counters;
+  // whole run (ResetState clears them between Processor runs). INIT
+  // sets all three TIE states itself.
+  a_.Reset();
+  b_.Reset();
+  result_fifo_.Clear();
+  store_buf_.fill(0);
+  store_count_ = 0;
+  c_count_ = 0;
   const uint16_t operand = ctx.operand();
   mode_state_->Set(operand & 0x3);
   partial_state_->Set((operand >> 2) & 0x1);
+  active_state_->Set(0);
 
   a_.ptr = ctx.reg(isa::abi::kPtrA);
   b_.ptr = ctx.reg(isa::abi::kPtrB);
@@ -647,22 +781,27 @@ bool EisExtension::MatchesTieLoop(const sim::TieLoop& loop) const {
   return true;
 }
 
-bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
-                                  bool exact, uint64_t max_cycles,
-                                  sim::ExecStats& stats) {
-  const SopMode sop_mode = mode();
-  const bool merge = sop_mode == SopMode::kMerge;
+// One instantiation per SopMode: the SOP kernel, the emission rules, the
+// load word and the continuation flag constant-fold. Every value the loop
+// touches per word -- cursors, ring counters, ExecStats tallies, counter
+// deltas -- is a local of this function, written back once at the exit;
+// nothing reaches it through a reference the compiler must assume that
+// the result writes alias.
+template <SopMode kMode>
+bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
+                              bool exact, uint64_t max_cycles,
+                              sim::ExecStats& stats) {
+  constexpr bool kMerge = kMode == SopMode::kMerge;
   int flag_index = 0;
-  if (!MatchSteadyLoopShape(loop, merge ? op::kLdMerge : op::kLdLdpShuffle,
+  if (!MatchSteadyLoopShape(loop, kMerge ? op::kLdMerge : op::kLdLdpShuffle,
                             &flag_index)) {
     return false;
   }
   const Reg flag_reg = isa::RegFromIndex(flag_index);
-  const bool partial = partial_loading() || merge;  // as in LdP
-  const int num_lsus = cpu.config().num_lsus;
+  const bool partial = kMerge || partial_loading();  // as in LdP
   // LoadLsu(1) and StoreLsu() folded onto the configured ports; merge
   // mode runs every beat and pack on LSU0.
-  const int lsu_b = !merge && num_lsus >= 2 ? 1 : 0;
+  const int lsu_b = !kMerge && cpu.config().num_lsus >= 2 ? 1 : 0;
   const uint32_t penalty = cpu.config().branch_mispredict_penalty;
   const size_t unroll = loop.body.size() / 2;
   // Conservative worst-case cycles of one full iteration, for the
@@ -671,37 +810,27 @@ bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
   // plus the branch and its penalty.
   const uint64_t iter_margin =
       static_cast<uint64_t>(loop.body.size()) * 65 + 1 + penalty;
+  // The flag register is the only value the loop changes that the
+  // branch reads (MatchSteadyLoopShape), so both outcomes are fixed here.
+  const uint32_t rs2_value = cpu.reg(loop.branch.rs2);
+  const bool taken_if_active = EvalBranch(loop.branch, 1, rs2_value);
+  const bool taken_if_idle = EvalBranch(loop.branch, 0, rs2_value);
+  const mem::MemorySystem& memory = cpu.memory_system();
 #if defined(__x86_64__)
-  const bool use_simd = SimdIntersectAvailable();
+  const bool use_simd =
+      kMode == SopMode::kIntersect && SimdIntersectAvailable();
 #endif
 
-  // Raw cursor over one input stream. The window is the element slice
-  // [consumed, consumed+win), the Load states the slice behind it; both
-  // are contiguous prefixes of the stream, so integer occupancy plus one
-  // base pointer reproduce the SmallFifo/Window structures exactly.
-  struct Cursor {
-    const uint32_t* data = nullptr;  // whole backing region as words
-    size_t words = 0;                // region size in words
-    uint64_t base = 0;               // region base address
-    size_t pos = 0;                  // word index of ptr (next beat)
-    size_t consumed = 0;             // word index of the window start
-    uint32_t rem = 0;
-    int win = 0;
-    int fifo = 0;
-    uint32_t lat = 1;
-    bool has_span = false;
-  };
-
-  auto resolve = [&](StreamSide& s, Cursor* c) -> bool {
+  const auto resolve = [&memory](const StreamSide& s, Cursor* c) -> bool {
     c->rem = s.remaining;
     c->win = s.window.count;
     c->fifo = s.load_fifo.size();
     if (c->rem == 0 && c->win == 0 && c->fifo == 0) return true;  // inert
     const uint64_t probe = c->rem > 0 ? s.ptr : s.ptr - mem::kBeatBytes;
-    auto memory = cpu.memory_system().Route(probe, mem::kBeatBytes);
-    if (!memory.ok()) return false;
-    const std::span<const uint8_t> raw = (*memory)->raw();
-    c->base = (*memory)->config().base;
+    const mem::Memory* region = memory.Find(probe, mem::kBeatBytes);
+    if (region == nullptr) return false;
+    const std::span<const uint8_t> raw = region->raw();
+    c->base = region->config().base;
     c->data = reinterpret_cast<const uint32_t*>(raw.data());
     c->words = raw.size() / 4;
     c->pos = static_cast<size_t>((s.ptr - c->base) / 4);
@@ -712,58 +841,47 @@ bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
     // run (nothing remains to load then), a slice ending one to three
     // words before it. Verify and decline otherwise. Any offset that
     // verifies is exact: the cursor reads no other words.
-    const auto verify = [&]() {
-      for (int i = 0; i < c->win; ++i) {
-        if (c->data[c->consumed + static_cast<size_t>(i)] !=
-            s.window.lanes[static_cast<size_t>(i)]) {
-          return false;
-        }
-      }
-      for (int i = 0; i < c->fifo; ++i) {
-        if (c->data[c->consumed + static_cast<size_t>(c->win + i)] !=
-            s.load_fifo.Peek(i)) {
-          return false;
-        }
-      }
-      return true;
-    };
     const size_t max_gap = c->rem == 0 ? 3 : 0;
     for (size_t gap = 0; gap <= max_gap && buffered + gap <= c->pos; ++gap) {
-      c->consumed = c->pos - gap - buffered;
-      if (verify()) {
-        c->lat = (*memory)->config().access_latency;
+      const uint32_t* at = c->data + (c->pos - gap - buffered);
+      bool same = std::equal(at, at + c->win, s.window.lanes.begin());
+      for (int i = 0; same && i < c->fifo; ++i) {
+        same = at[c->win + i] == s.load_fifo.Peek(i);
+      }
+      if (same) {
+        c->consumed = c->pos - gap - buffered;
+        c->lat = region->config().access_latency;
         c->has_span = true;
         return true;
       }
     }
     return false;
   };
-
-  Cursor ca, cb;
+  Cursor ca;
+  Cursor cb;
   if (!resolve(a_, &ca) || !resolve(b_, &cb)) return false;
 
-  // Result cursor: writes land directly in the backing region; the ring
-  // keeps the last <= 36 emitted elements so the result FIFO and Store
-  // states can be reconstructed on exit.
-  auto result_memory = cpu.memory_system().Route(c_ptr_, mem::kBeatBytes);
-  if (!result_memory.ok()) return false;
-  uint32_t* out_data =
-      reinterpret_cast<uint32_t*>((*result_memory)->mutable_raw().data());
-  const uint64_t out_base = (*result_memory)->config().base;
-  const size_t out_words = (*result_memory)->mutable_raw().size() / 4;
+  // Result cursor: packs land directly in the backing region; the ring
+  // keeps the last <= 36 emitted elements (Store states and result FIFO)
+  // so both can be reconstructed on exit.
+  mem::Memory* const result_memory = memory.Find(c_ptr_, mem::kBeatBytes);
+  if (result_memory == nullptr) return false;
+  uint32_t* const out_data =
+      reinterpret_cast<uint32_t*>(result_memory->mutable_raw().data());
+  const uint64_t out_base = result_memory->config().base;
+  const size_t out_words = result_memory->mutable_raw().size() / 4;
+  const uint32_t lat_c = result_memory->config().access_latency;
   size_t out_pos = static_cast<size_t>((c_ptr_ - out_base) / 4);
-  const uint32_t lat_c = (*result_memory)->config().access_latency;
   if (out_pos > out_words) return false;
 
   uint32_t ring[64];
   uint64_t written = 0;
-  int sbuf = store_count_;
+  int sbuf = store_count_;  // 0 or 4: ST_S fills all four Store states
   uint64_t emitted = static_cast<uint64_t>(sbuf);
-  for (int i = 0; i < sbuf; ++i) ring[i] = store_buf_[static_cast<size_t>(i)];
+  std::copy_n(store_buf_.begin(), sbuf, ring);
   for (int i = 0; i < result_fifo_.size(); ++i) {
     ring[emitted++ & 63] = result_fifo_.Peek(i);
   }
-  const uint64_t written0 = written;
 
   // The cursors read buffered input from memory when it is consumed,
   // where the per-word path copies each beat when it loads it; a pack
@@ -786,8 +904,6 @@ bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
     if (overlaps(ca) || overlaps(cb)) return false;
   }
 
-  // Local copies of the hot counters: per-word increments stay in
-  // registers; written back to `stats` on every exit path.
   uint64_t cycles = stats.cycles;
   uint64_t bundles = stats.bundles;
   uint64_t instructions = stats.instructions;
@@ -797,68 +913,12 @@ bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
   uint64_t port_stall = stats.port_stall_cycles;
   uint64_t beats0 = stats.lsu_beats[0];
   uint64_t beats1 = stats.lsu_beats[1];
-  const uint32_t rs2_value = cpu.reg(loop.branch.rs2);
-
-  bool active = active_state_->Get() != 0;
-  bool wrote_flag = false;
   uint64_t d_sops = 0, d_consumed = 0, d_emitted = 0, d_matches = 0;
   uint64_t d_load_beats = 0, d_store_beats = 0;
+  bool active = active_state_->Get() != 0;
+  // STORE_SOP, the first word of every iteration, writes the flag
+  // register; so "a word ran" and "the flag was written" coincide.
   bool any_word = false;
-
-  // Syncs the cursor state back into the real datapath structures; valid
-  // at any word boundary.
-  auto sync = [&](uint32_t next_pc) {
-    stats.cycles = cycles;
-    stats.bundles = bundles;
-    stats.instructions = instructions;
-    stats.taken_branches = taken_branches;
-    stats.mispredicted_branches = mispredicted;
-    stats.branch_penalty_cycles = branch_penalty;
-    stats.port_stall_cycles = port_stall;
-    stats.lsu_beats[0] = beats0;
-    stats.lsu_beats[1] = beats1;
-    auto sync_side = [](StreamSide& s, const Cursor& c) {
-      if (!c.has_span) return;
-      s.ptr = c.base + 4 * static_cast<uint64_t>(c.pos);
-      s.remaining = c.rem;
-      s.window = Window{};
-      for (int i = 0; i < c.win; ++i) {
-        s.window.Push(c.data[c.consumed + static_cast<size_t>(i)]);
-      }
-      s.load_fifo.Clear();
-      for (int i = 0; i < c.fifo; ++i) {
-        s.load_fifo.Push(
-            c.data[c.consumed + static_cast<size_t>(c.win + i)]);
-      }
-    };
-    sync_side(a_, ca);
-    sync_side(b_, cb);
-    const int rfifo = static_cast<int>(emitted - written) - sbuf;
-    result_fifo_.Clear();
-    for (int i = 0; i < rfifo; ++i) {
-      result_fifo_.Push(
-          ring[(written + static_cast<uint64_t>(sbuf + i)) & 63]);
-    }
-    store_count_ = sbuf;
-    for (int i = 0; i < sbuf; ++i) {
-      store_buf_[static_cast<size_t>(i)] =
-          ring[(written + static_cast<uint64_t>(i)) & 63];
-    }
-    c_ptr_ = out_base + 4 * static_cast<uint64_t>(out_pos);
-    c_count_ += static_cast<uint32_t>(written - written0);
-    counters_.sop_executions += d_sops;
-    counters_.elements_consumed += d_consumed;
-    counters_.elements_emitted += d_emitted;
-    counters_.matches += d_matches;
-    counters_.load_beats += d_load_beats;
-    counters_.store_beats += d_store_beats;
-    active_state_->Set(active ? 1 : 0);
-    if (wrote_flag) cpu.set_reg(flag_reg, active ? 1u : 0u);
-    cpu.set_pc(next_pc);
-  };
-
-  const uint32_t branch_pc =
-      loop.head + static_cast<uint32_t>(loop.body.size());
 
   // Calibration snapshot for the turbo bulk extrapolation (the d_*
   // deltas all start at zero here, so they need no snapshot).
@@ -870,376 +930,419 @@ bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
   const uint64_t snap_beats0 = beats0;
   const uint64_t snap_beats1 = beats1;
   constexpr size_t kTail = 64;  // elements left to the exact tail
+  // Exact iterations before the turbo bulk segment. Intersection's
+  // per-iteration cost is flat (at most one emitted pack per window
+  // pair), so one iteration calibrates it; the emission-heavy modes
+  // flush up to two packs per iteration with data-dependent store
+  // stalls, and need a longer prefix for a representative average.
+  constexpr uint64_t kCalIters = kMode == SopMode::kIntersect ? 1 : 32;
   uint64_t iters = 0;
   bool bulk_tried = false;
 
-  // The whole steady loop is instantiated per SopMode: the SOP kernel,
-  // the emission rules, and the continuation flag all constant-fold,
-  // which matters at one dispatch per word.
-  auto steady = [&]<SopMode kMode>() -> bool {
-    // Exact iterations before the turbo bulk segment. Intersection's
-    // per-iteration cost is flat (at most one emitted pack per window
-    // pair), so one iteration calibrates it; the emission-heavy modes
-    // flush up to two packs per iteration with data-dependent store
-    // stalls, and need a longer prefix for a representative average.
-    constexpr uint64_t kCalIters = kMode == SopMode::kIntersect ? 1 : 32;
-    for (;;) {
-      // Iteration-head guard: the last iterations before the watchdog
-      // go back to the per-word path, which reports the deadline at the
-      // exact word. Region ends are checked per word below.
-      if (cycles + iter_margin >= max_cycles) {
-        if (!any_word) return false;
-        sync(loop.head);
-        return true;
-      }
-      // --- Turbo bulk segment ---
-      // After the calibration prefix, run the steady region as a raw
-      // two-pointer directly over the input spans. The emitted element
-      // stream is exactly what the datapath would produce (the windowed
-      // SOP is a blocked merge; blocking does not change its output);
-      // cycles, beats, and word counts for the segment are extrapolated
-      // from the per-element rates of the calibration prefix, which is
-      // the documented turbo-mode deviation. The exact stepper resumes
-      // for the final kTail elements of either side. Merge loops stay
-      // exact in turbo: a sort runs thousands of short pair loops.
-      if (kMode != SopMode::kMerge && !exact && !bulk_tried &&
-          iters >= kCalIters && d_consumed > 0 &&
-          ca.has_span && cb.has_span && ca.rem > 0 && cb.rem > 0) {
-        bulk_tried = true;
-        const size_t total_a = ca.pos + static_cast<size_t>(ca.rem);
-        const size_t total_b = cb.pos + static_cast<size_t>(cb.rem);
-        const uint64_t cal_cycles = cycles - snap_cycles;
-        const uint64_t cal_consumed = d_consumed;
-        const double cyc_per_el =
-            static_cast<double>(cal_cycles) / static_cast<double>(cal_consumed);
-        const uint64_t cycle_room =
-            max_cycles > cycles + 2 * iter_margin
-                ? max_cycles - cycles - 2 * iter_margin
-                : 0;
-        const uint64_t budget_el =
-            static_cast<uint64_t>(static_cast<double>(cycle_room) / cyc_per_el);
-        const size_t olimit = out_words > 2 * kTail ? out_words - 2 * kTail : 0;
-        // The bulk reads the streams straight from their regions; one
-        // that runs past its region's end stays with the exact stepper,
-        // which hands the faulting beat back to the per-word path.
-        if (total_a > ca.consumed + 2 * kTail &&
-            total_b > cb.consumed + 2 * kTail && total_a <= ca.words &&
-            total_b <= cb.words && budget_el > 0 && out_pos + 4 <= olimit) {
-          const size_t la = total_a - kTail;
-          const size_t lb = total_b - kTail;
-          const uint32_t* A = ca.data;
-          const uint32_t* B = cb.data;
-          size_t ia = ca.consumed;
-          size_t ib = cb.consumed;
-          const size_t ia0 = ia;
-          const size_t ib0 = ib;
-          const uint64_t emitted0 = emitted;
-          const uint64_t written_b0 = written;
-          uint64_t bulk_matches = 0;
+  // Port cycles of one word: beats on one LSU serialize, one cycle each
+  // beyond the first (Cpu::Charge).
+  const auto charge_ports = [&](uint32_t b0, uint32_t b1) {
+    const uint32_t port = std::max(b0, b1);
+    const uint32_t stall = port > 1 ? port - 1 : 0;
+    port_stall += stall;
+    cycles += stall;
+    beats0 += b0;
+    beats1 += b1;
+  };
+
+  const uint32_t branch_pc =
+      loop.head + static_cast<uint32_t>(loop.body.size());
+  uint32_t next_pc = branch_pc + 1;
+  for (;;) {
+    // Iteration-head guard: the last iterations before the watchdog go
+    // back to the per-word path, which reports the deadline at the exact
+    // word. Region ends are checked per word below.
+    if (cycles + iter_margin >= max_cycles) {
+      if (!any_word) return false;
+      next_pc = loop.head;
+      break;
+    }
+    // --- Turbo bulk segment ---
+    // After the calibration prefix, run the steady region as a raw
+    // two-pointer directly over the input spans. The emitted element
+    // stream is exactly what the datapath would produce (the windowed
+    // SOP is a blocked merge; blocking does not change its output);
+    // cycles, beats, and word counts for the segment are extrapolated
+    // from the per-element rates of the calibration prefix, which is
+    // the documented turbo-mode deviation. The exact stepper resumes
+    // for the final kTail elements of either side. Merge loops stay
+    // exact in turbo: a sort runs thousands of short pair loops.
+    if (!kMerge && !exact && !bulk_tried && iters >= kCalIters &&
+        d_consumed > 0 && ca.has_span && cb.has_span && ca.rem > 0 &&
+        cb.rem > 0) {
+      bulk_tried = true;
+      const size_t total_a = ca.pos + static_cast<size_t>(ca.rem);
+      const size_t total_b = cb.pos + static_cast<size_t>(cb.rem);
+      const uint64_t cal_cycles = cycles - snap_cycles;
+      const uint64_t cal_consumed = d_consumed;
+      const double cyc_per_el =
+          static_cast<double>(cal_cycles) / static_cast<double>(cal_consumed);
+      const uint64_t cycle_room =
+          max_cycles > cycles + 2 * iter_margin
+              ? max_cycles - cycles - 2 * iter_margin
+              : 0;
+      const uint64_t budget_el =
+          static_cast<uint64_t>(static_cast<double>(cycle_room) / cyc_per_el);
+      const size_t olimit = out_words > 2 * kTail ? out_words - 2 * kTail : 0;
+      // The bulk reads the streams straight from their regions; one
+      // that runs past its region's end stays with the exact stepper,
+      // which hands the faulting beat back to the per-word path.
+      if (total_a > ca.consumed + 2 * kTail &&
+          total_b > cb.consumed + 2 * kTail && total_a <= ca.words &&
+          total_b <= cb.words && budget_el > 0 && out_pos + 4 <= olimit) {
+        const size_t la = total_a - kTail;
+        const size_t lb = total_b - kTail;
+        const uint32_t* A = ca.data;
+        const uint32_t* B = cb.data;
+        size_t ia = ca.consumed;
+        size_t ib = cb.consumed;
+        const size_t ia0 = ia;
+        const size_t ib0 = ib;
+        const uint64_t emitted0 = emitted;
+        const uint64_t written_b0 = written;
+        uint64_t bulk_matches = 0;
 #if defined(__x86_64__)
-          // SIMD phase (intersection only): matched elements stream
-          // straight into the result span at the position the pending
-          // ring elements will eventually occupy; afterwards the
-          // pending prefix is materialized from the ring and the
-          // pack/ring bookkeeping is re-established so the scalar loop
-          // and the exact tail continue on consistent state.
-          if constexpr (kMode == SopMode::kIntersect) {
-            if (SimdIntersectAvailable() && ia >= 1 && ib >= 1) {
-              const size_t pending = static_cast<size_t>(emitted - written);
-              size_t eo = out_pos + pending;
-              const size_t eo_before = eo;
-              SimdIntersectRun(A, la, B, lb, &ia, &ib, out_data, &eo,
-                               olimit > 4 ? olimit - 4 : 0, budget_el,
-                               &bulk_matches);
-              if (eo != eo_before) {
-                for (size_t p = 0; p < pending; ++p) {
-                  out_data[out_pos + p] = ring[(written + p) & 63];
-                }
-                emitted += eo - eo_before;
-                const uint64_t full = (emitted - written) / 4;
-                written += 4 * full;
-                out_pos += 4 * full;
-                for (uint64_t r = written; r < emitted; ++r) {
-                  ring[r & 63] = out_data[out_pos + (r - written)];
-                }
+        // SIMD phase (intersection only): matched elements stream
+        // straight into the result span at the position the pending
+        // ring elements will eventually occupy; afterwards the pending
+        // prefix is materialized from the ring and the pack/ring
+        // bookkeeping is re-established so the scalar loop and the
+        // exact tail continue on consistent state.
+        if constexpr (kMode == SopMode::kIntersect) {
+          if (use_simd && ia >= 1 && ib >= 1) {
+            const size_t pending = static_cast<size_t>(emitted - written);
+            size_t eo = out_pos + pending;
+            const size_t eo_before = eo;
+            SimdIntersectRun(A, la, B, lb, &ia, &ib, out_data, &eo,
+                             olimit > 4 ? olimit - 4 : 0, budget_el,
+                             &bulk_matches);
+            if (eo != eo_before) {
+              for (size_t p = 0; p < pending; ++p) {
+                out_data[out_pos + p] = ring[(written + p) & 63];
+              }
+              emitted += eo - eo_before;
+              const uint64_t full = (emitted - written) / 4;
+              written += 4 * full;
+              out_pos += 4 * full;
+              for (uint64_t r = written; r < emitted; ++r) {
+                ring[r & 63] = out_data[out_pos + (r - written)];
               }
             }
           }
+        }
 #endif  // defined(__x86_64__)
-          // Branchless merge: the ring slot is always written, the
-          // cursor arithmetic is flag-based; the data-dependent path
-          // reduces to the every-fourth-emission pack flush.
-          while (ia < la && ib < lb && out_pos + 4 <= olimit &&
-                 (ia - ia0) + (ib - ib0) < budget_el) {
-            const uint32_t va = A[ia];
-            const uint32_t vb = B[ib];
-            const bool eq = va == vb;
-            const bool ale = va <= vb;
-            const bool ble = vb <= va;
-            if constexpr (kMode == SopMode::kIntersect) {
-              ring[emitted & 63] = va;
-              emitted += eq ? 1 : 0;
-            } else if constexpr (kMode == SopMode::kUnion) {
-              ring[emitted & 63] = ale ? va : vb;
-              ++emitted;
-            } else {
-              ring[emitted & 63] = va;
-              emitted += ale && !eq ? 1 : 0;
-            }
-            bulk_matches += eq ? 1 : 0;
-            ia += ale ? 1 : 0;
-            ib += ble ? 1 : 0;
-            if (emitted - written >= 4) {
-              std::memcpy(out_data + out_pos, ring + (written & 63), 16);
-              out_pos += 4;
-              written += 4;
-            }
+        // Branchless merge: the ring slot is always written, the cursor
+        // arithmetic is flag-based; the data-dependent path reduces to
+        // the every-fourth-emission pack flush.
+        while (ia < la && ib < lb && out_pos + 4 <= olimit &&
+               (ia - ia0) + (ib - ib0) < budget_el) {
+          const uint32_t va = A[ia];
+          const uint32_t vb = B[ib];
+          const bool eq = va == vb;
+          const bool ale = va <= vb;
+          const bool ble = vb <= va;
+          if constexpr (kMode == SopMode::kIntersect) {
+            ring[emitted & 63] = va;
+            emitted += eq ? 1 : 0;
+          } else if constexpr (kMode == SopMode::kUnion) {
+            ring[emitted & 63] = ale ? va : vb;
+            ++emitted;
+          } else {
+            ring[emitted & 63] = va;
+            emitted += ale && !eq ? 1 : 0;
           }
-          const uint64_t bulk_consumed = (ia - ia0) + (ib - ib0);
-          if (bulk_consumed > 0) {
-            // Drain pending packs so the post-bulk store state is the
-            // canonical sbuf=0 / rfifo<4 steady shape (room is
-            // guaranteed by the olimit slack).
-            while (emitted - written >= 4) {
-              std::memcpy(out_data + out_pos, ring + (written & 63), 16);
-              out_pos += 4;
-              written += 4;
-            }
-            sbuf = 0;
-            d_consumed += bulk_consumed;
-            d_matches += bulk_matches;
-            d_emitted += emitted - emitted0;
-            d_store_beats += (written - written_b0) / 4;
-            const double f = static_cast<double>(bulk_consumed) /
-                             static_cast<double>(cal_consumed);
-            const auto scaled = [f](uint64_t cal) -> uint64_t {
-              return static_cast<uint64_t>(
-                  std::llround(static_cast<double>(cal) * f));
-            };
-            cycles += scaled(cal_cycles);
-            bundles += scaled(bundles - snap_bundles);
-            instructions += scaled(instructions - snap_instructions);
-            taken_branches += scaled(taken_branches - snap_taken);
-            port_stall += scaled(port_stall - snap_port);
-            beats0 += scaled(beats0 - snap_beats0);
-            beats1 += scaled(beats1 - snap_beats1);
-            d_load_beats += scaled(d_load_beats);
-            d_sops += scaled(d_sops);
-            // Refit the cursors to a canonical steady load state just
-            // behind the new consumption point: window full, one to two
-            // beats buffered, next beat aligned.
-            const auto refit = [](Cursor& c, size_t inew) {
-              const size_t total = c.pos + static_cast<size_t>(c.rem);
-              const size_t loaded = ((inew + 3) & ~size_t{3}) + 8;
-              c.consumed = inew;
-              c.pos = loaded;
-              c.rem = static_cast<uint32_t>(total - loaded);
-              c.win = 4;
-              c.fifo = static_cast<int>(loaded - inew) - 4;
-            };
-            refit(ca, ia);
-            refit(cb, ib);
-            continue;  // re-check the head guards against the new state
+          bulk_matches += eq ? 1 : 0;
+          ia += ale ? 1 : 0;
+          ib += ble ? 1 : 0;
+          if (emitted - written >= 4) {
+            std::memcpy(out_data + out_pos, ring + (written & 63), 16);
+            out_pos += 4;
+            written += 4;
           }
         }
-      }
-      for (size_t k = 0; k < unroll; ++k) {
-        // --- STORE_SOP (ST; SOP; flag <- active) ---
-        // The SOP outcome and the ST pack plan are computed first so a
-        // result-FIFO overflow or a pack past the result region's end can
-        // hand back *before* any effect of the word (the per-word path
-        // then reproduces the exact error).
-        const uint32_t* pa = ca.data + ca.consumed;
-        const uint32_t* pb = cb.data + cb.consumed;
-        const bool ue_a = ca.rem == 0 && ca.fifo == 0;
-        const bool ue_b = cb.rem == 0 && cb.fifo == 0;
-        SteadySopOutcome outcome;
-        bool simd_done = false;
-#if defined(__x86_64__)
-        if constexpr (kMode == SopMode::kIntersect) {
-          // Full windows only: the 4-lane compare matches against every
-          // loaded lane, and with a partial window the lanes beyond
-          // `win` are not part of the stream (tail beats may carry
-          // stale local-store words from an earlier kernel). The scalar
-          // SteadySop path has exact partial-window semantics.
-          if (use_simd && ca.win == 4 && cb.win == 4 &&
-              ca.consumed + 4 <= ca.words && cb.consumed + 4 <= cb.words) {
-            simd_done = SimdSopIntersect(pa, ca.win, pb, cb.win, &outcome);
+        const uint64_t bulk_consumed = (ia - ia0) + (ib - ib0);
+        if (bulk_consumed > 0) {
+          // Drain pending packs so the post-bulk store state is the
+          // canonical sbuf=0 / rfifo<4 steady shape (room is guaranteed
+          // by the olimit slack).
+          while (emitted - written >= 4) {
+            std::memcpy(out_data + out_pos, ring + (written & 63), 16);
+            out_pos += 4;
+            written += 4;
           }
-        }
-#endif
-        if (!simd_done) {
-          outcome = SteadySop<kMode>(pa, ca.win, ue_a, pb, cb.win, ue_b);
-        }
-        int rfifo = static_cast<int>(emitted - written) - sbuf;
-        {
-          int r = rfifo;
-          size_t planned = 0;  // packs the ST half will store
-          if (sbuf == 4) {
-            planned = 1;
-          } else if (sbuf == 0 && r >= 4) {
-            r -= 4;
-            planned = 1;
-          }
-          for (; r >= 8; r -= 4) ++planned;
-          if (r + outcome.emit_count > result_fifo_.capacity() ||
-              out_pos + 4 * planned > out_words) {
-            // Real behavior is an error inside this word; hand back so
-            // the per-word path reproduces it. With zero progress,
-            // decline instead (state is untouched) so the caller falls
-            // through to the per-word path -- handing back at the head
-            // would re-enter this stepper forever.
-            if (!any_word) return false;
-            sync(loop.head + static_cast<uint32_t>(2 * k));
-            return true;
-          }
-        }
-        ++bundles;
-        ++cycles;
-        ++instructions;
-        any_word = true;
-        // ST effects (beat stores straight into the result span).
-        uint32_t packs = 0;
-        auto pack_out = [&]() {
-          std::memcpy(out_data + out_pos, ring + (written & 63), 16);
-          out_pos += 4;
-          written += 4;
-          ++packs;
-          ++d_store_beats;
-        };
-        if (sbuf == 4) {
-          pack_out();
           sbuf = 0;
-        } else if (sbuf == 0 && rfifo >= 4) {
-          pack_out();
+          d_consumed += bulk_consumed;
+          d_matches += bulk_matches;
+          d_emitted += emitted - emitted0;
+          d_store_beats += (written - written_b0) / 4;
+          const double f = static_cast<double>(bulk_consumed) /
+                           static_cast<double>(cal_consumed);
+          const auto scaled = [f](uint64_t cal) -> uint64_t {
+            return static_cast<uint64_t>(
+                std::llround(static_cast<double>(cal) * f));
+          };
+          cycles += scaled(cal_cycles);
+          bundles += scaled(bundles - snap_bundles);
+          instructions += scaled(instructions - snap_instructions);
+          taken_branches += scaled(taken_branches - snap_taken);
+          port_stall += scaled(port_stall - snap_port);
+          beats0 += scaled(beats0 - snap_beats0);
+          beats1 += scaled(beats1 - snap_beats1);
+          d_load_beats += scaled(d_load_beats);
+          d_sops += scaled(d_sops);
+          // Refit the cursors to a canonical steady load state just
+          // behind the new consumption point: window full, one to two
+          // beats buffered, next beat aligned.
+          const auto refit = [](Cursor& c, size_t inew) {
+            const size_t total = c.pos + static_cast<size_t>(c.rem);
+            const size_t loaded = ((inew + 3) & ~size_t{3}) + 8;
+            c.consumed = inew;
+            c.pos = loaded;
+            c.rem = static_cast<uint32_t>(total - loaded);
+            c.win = 4;
+            c.fifo = static_cast<int>(loaded - inew) - 4;
+          };
+          refit(ca, ia);
+          refit(cb, ib);
+          continue;  // re-check the head guards against the new state
         }
-        while (static_cast<int>(emitted - written) - sbuf >= 8) pack_out();
-        // SOP effects.
-        for (int i = 0; i < outcome.emit_count; ++i) {
-          ring[emitted++ & 63] = outcome.emit[static_cast<size_t>(i)];
-        }
-        ca.consumed += static_cast<size_t>(outcome.consume_a);
-        ca.win -= outcome.consume_a;
-        cb.consumed += static_cast<size_t>(outcome.consume_b);
-        cb.win -= outcome.consume_b;
-        ++d_sops;
-        d_consumed +=
-            static_cast<uint64_t>(outcome.consume_a + outcome.consume_b);
-        d_emitted += static_cast<uint64_t>(outcome.emit_count);
-        d_matches += static_cast<uint64_t>(outcome.matches);
-        const bool drained_a = ca.rem == 0 && ca.fifo == 0 && ca.win == 0;
-        const bool drained_b = cb.rem == 0 && cb.fifo == 0 && cb.win == 0;
-        if constexpr (kMode == SopMode::kIntersect) {
-          active = !drained_a && !drained_b;
-        } else if constexpr (kMode == SopMode::kDifference) {
-          active = !drained_a;
-        } else {
-          active = !drained_a || !drained_b;
-        }
-        wrote_flag = true;
-        {
-          const uint32_t store_cycles = lat_c * packs;
-          const uint32_t b0 = lsu_b == 0 ? store_cycles : 0;
-          const uint32_t b1 = lsu_b == 1 ? store_cycles : 0;
-          const uint32_t port = std::max(b0, b1);
-          if (port > 1) {
-            port_stall += port - 1;
-            cycles += port - 1;
-          }
-          beats0 += b0;
-          beats1 += b1;
-        }
-        // --- Load word ---
-        // LD_LDP_SHUFFLE: LD both sides; LD_P both; ST_S. LD_MERGE: one
-        // beat into the side with fewer buffered elements, or the other
-        // side once that stream is spent; LD_P both; flag <- active,
-        // which loads cannot change. A live load whose beat would cross
-        // the region end errors on the real path; hand back pre-word so
-        // the per-word path raises it.
-        Cursor* merge_side = nullptr;
-        bool past_end;
-        if constexpr (kMode == SopMode::kMerge) {
-          Cursor& first = cb.win + cb.fifo < ca.win + ca.fifo ? cb : ca;
-          merge_side = first.rem > 0 ? &first : (&first == &ca ? &cb : &ca);
-          past_end = merge_side->rem > 0 &&
-                     merge_side->pos + 4 > merge_side->words;
-        } else {
-          past_end = (ca.rem > 0 && ca.pos + 4 > ca.words) ||
-                     (cb.rem > 0 && cb.pos + 4 > cb.words);
-        }
-        if (past_end) {
-          sync(loop.head + static_cast<uint32_t>(2 * k + 1));
-          return true;
-        }
-        ++bundles;
-        ++cycles;
-        ++instructions;
-        uint32_t b0 = 0;
-        uint32_t b1 = 0;
-        auto load_side = [&](Cursor& c, int lsu) {
-          if (c.rem == 0) return;
-          (lsu == 0 ? b0 : b1) += c.lat;
-          ++d_load_beats;
-          if (c.fifo <= 4) {
-            const uint32_t take = std::min<uint32_t>(4, c.rem);
-            c.fifo += static_cast<int>(take);
-            c.pos += 4;
-            c.rem -= take;
-          }
-        };
-        if constexpr (kMode == SopMode::kMerge) {
-          load_side(*merge_side, 0);
-        } else {
-          load_side(ca, 0);
-          load_side(cb, lsu_b);
-        }
-        auto refill = [&](Cursor& c) {
-          if (!partial && c.win != 0) return;
-          const int mv = std::min(4 - c.win, c.fifo);
-          c.win += mv;
-          c.fifo -= mv;
-        };
-        refill(ca);
-        refill(cb);
-        if constexpr (kMode != SopMode::kMerge) {
-          if (sbuf == 0 && static_cast<int>(emitted - written) >= 4) {
-            sbuf = 4;
-          }
-        }
-        const uint32_t port = std::max(b0, b1);
-        if (port > 1) {
-          port_stall += port - 1;
-          cycles += port - 1;
-        }
-        beats0 += b0;
-        beats1 += b1;
       }
-      // --- closing branch ---
+    }
+
+    bool handed_back = false;
+    for (size_t k = 0; k < unroll; ++k) {
+      // --- STORE_SOP (ST; SOP; flag <- active) ---
+      // The SOP outcome and the ST pack plan come first, so a result-FIFO
+      // overflow or a pack past the result region's end can hand back
+      // *before* any effect of the word (the per-word path then
+      // reproduces the exact error).
+      SteadySopOutcome outcome;
+      bool simd_done = false;
+#if defined(__x86_64__)
+      // Full windows only: the 4-lane forms read every loaded lane, and
+      // the lanes past a partial window are not part of the stream (tail
+      // beats may carry stale local-store words from an earlier kernel).
+      // SteadySop has exact partial-window semantics.
+      if (ca.win == 4 && cb.win == 4) {
+        if constexpr (kMode == SopMode::kIntersect) {
+          if (use_simd) {
+            simd_done = SimdSopIntersect(ca.data + ca.consumed,
+                                         cb.data + cb.consumed, ring,
+                                         emitted, &outcome);
+          }
+        } else if constexpr (kMode == SopMode::kMerge) {
+          simd_done = SimdSopMerge(ca.data + ca.consumed,
+                                   cb.data + cb.consumed, ring, emitted,
+                                   &outcome);
+        }
+      }
+#endif
+      if (!simd_done) {
+        outcome = SteadySop<kMode>(ca.data + ca.consumed, ca.win,
+                                   ca.rem == 0 && ca.fifo == 0,
+                                   cb.data + cb.consumed, cb.win,
+                                   cb.rem == 0 && cb.fifo == 0, ring, emitted);
+      }
+      // ST: the Store states leave as one pack (sbuf == 4), or else the
+      // FIFO's first four do; then the burst drain stores a pack while
+      // at least eight remain.
+      const int rfifo = static_cast<int>(emitted - written) - sbuf;
+      const int first_packs = sbuf == 4 || rfifo >= 4 ? 1 : 0;
+      const int r = sbuf == 0 && rfifo >= 4 ? rfifo - 4 : rfifo;
+      const int drain_packs = r >= 8 ? (r - 4) >> 2 : 0;
+      const int packs = first_packs + drain_packs;
+      if (r - 4 * drain_packs + outcome.emit_count > result_fifo_.capacity() ||
+          out_pos + 4 * static_cast<size_t>(packs) > out_words) {
+        // Real behavior is an error inside this word; hand back so the
+        // per-word path reproduces it. With zero progress, decline
+        // instead (state is untouched) so the caller falls through to
+        // the per-word path -- handing back at the head would re-enter
+        // this stepper forever.
+        if (!any_word) return false;
+        next_pc = loop.head + static_cast<uint32_t>(2 * k);
+        handed_back = true;
+        break;
+      }
       ++bundles;
       ++cycles;
       ++instructions;
-      const bool taken = EvalBranch(loop.branch, active ? 1u : 0u, rs2_value);
-      if (taken) {
-        ++taken_branches;
-        ++iters;
-        continue;
+      any_word = true;
+      for (int p = 0; p < packs; ++p) {
+        std::memcpy(out_data + out_pos, ring + (written & 63), 16);
+        out_pos += 4;
+        written += 4;
       }
-      ++mispredicted;
-      branch_penalty += penalty;
-      cycles += penalty;
-      sync(branch_pc + 1);
-      return true;
+      sbuf = 0;
+      d_store_beats += static_cast<uint64_t>(packs);
+      const uint32_t store_cycles = lat_c * static_cast<uint32_t>(packs);
+      charge_ports(lsu_b == 0 ? store_cycles : 0,
+                   lsu_b == 1 ? store_cycles : 0);
+      // SOP effects. The SOP already wrote its Result slots into the
+      // ring just past `emitted` (the packs above read only older ones).
+      emitted += static_cast<uint64_t>(outcome.emit_count);
+      ca.consumed += static_cast<size_t>(outcome.consume_a);
+      ca.win -= outcome.consume_a;
+      cb.consumed += static_cast<size_t>(outcome.consume_b);
+      cb.win -= outcome.consume_b;
+      ++d_sops;
+      d_consumed += static_cast<uint64_t>(outcome.consume_a + outcome.consume_b);
+      d_emitted += static_cast<uint64_t>(outcome.emit_count);
+      d_matches += static_cast<uint64_t>(outcome.matches);
+      const bool drained_a = ca.rem == 0 && ca.fifo == 0 && ca.win == 0;
+      const bool drained_b = cb.rem == 0 && cb.fifo == 0 && cb.win == 0;
+      if constexpr (kMode == SopMode::kIntersect) {
+        active = !drained_a && !drained_b;
+      } else if constexpr (kMode == SopMode::kDifference) {
+        active = !drained_a;
+      } else {
+        active = !drained_a || !drained_b;
+      }
+
+      // --- Load word ---
+      // LD_LDP_SHUFFLE: LD both sides; LD_P both; ST_S. LD_MERGE: one
+      // beat into the side with fewer buffered elements, or the other
+      // side once that stream is spent; LD_P both; flag <- active, which
+      // loads cannot change. A live load whose beat would cross the
+      // region end errors on the real path; hand back pre-word so the
+      // per-word path raises it.
+      const auto past_end = [](const Cursor& c) {
+        return c.rem > 0 && c.pos + 4 > c.words;
+      };
+      // Loads into `c`, returning the port cycles of its beat. A beat
+      // whose Load states are still full is a redundant prefetch: its
+      // data is dropped, its port cycle spent.
+      const auto load_side = [&d_load_beats](Cursor& c) -> uint32_t {
+        if (c.rem == 0) return 0;
+        ++d_load_beats;
+        if (c.fifo <= 4) {
+          const uint32_t take = std::min<uint32_t>(4, c.rem);
+          c.fifo += static_cast<int>(take);
+          c.pos += 4;
+          c.rem -= take;
+        }
+        return c.lat;
+      };
+      uint32_t b0 = 0;
+      uint32_t b1 = 0;
+      if constexpr (kMerge) {
+        const bool fewer_b = cb.win + cb.fifo < ca.win + ca.fifo;
+        const bool load_b = fewer_b ? cb.rem > 0 : ca.rem == 0;
+        if (load_b ? past_end(cb) : past_end(ca)) {
+          next_pc = loop.head + static_cast<uint32_t>(2 * k + 1);
+          handed_back = true;
+          break;
+        }
+        b0 = load_b ? load_side(cb) : load_side(ca);
+      } else {
+        if (past_end(ca) || past_end(cb)) {
+          next_pc = loop.head + static_cast<uint32_t>(2 * k + 1);
+          handed_back = true;
+          break;
+        }
+        b0 = load_side(ca);
+        (lsu_b == 0 ? b0 : b1) += load_side(cb);
+      }
+      ++bundles;
+      ++cycles;
+      ++instructions;
+      const auto refill = [partial](Cursor& c) {
+        if (!partial && c.win != 0) return;
+        const int moved = std::min(4 - c.win, c.fifo);
+        c.win += moved;
+        c.fifo -= moved;
+      };
+      refill(ca);
+      refill(cb);
+      if constexpr (!kMerge) {
+        // ST_S: the Store states take four results once they are empty.
+        if (emitted - written >= 4) sbuf = 4;
+      }
+      charge_ports(b0, b1);
+    }
+    if (handed_back) break;
+    // --- closing branch ---
+    ++bundles;
+    ++cycles;
+    ++instructions;
+    if (active ? taken_if_active : taken_if_idle) {
+      ++taken_branches;
+      ++iters;
+      continue;
+    }
+    ++mispredicted;
+    branch_penalty += penalty;
+    cycles += penalty;
+    break;
+  }
+
+  // Write the cursor state back into the datapath structures; valid at
+  // any word boundary.
+  stats.cycles = cycles;
+  stats.bundles = bundles;
+  stats.instructions = instructions;
+  stats.taken_branches = taken_branches;
+  stats.mispredicted_branches = mispredicted;
+  stats.branch_penalty_cycles = branch_penalty;
+  stats.port_stall_cycles = port_stall;
+  stats.lsu_beats[0] = beats0;
+  stats.lsu_beats[1] = beats1;
+  const auto sync_side = [](StreamSide& s, const Cursor& c) {
+    if (!c.has_span) return;
+    s.ptr = c.base + 4 * static_cast<uint64_t>(c.pos);
+    s.remaining = c.rem;
+    s.window = Window{};
+    std::copy_n(c.data + c.consumed, c.win, s.window.lanes.begin());
+    s.window.count = c.win;
+    s.load_fifo.Clear();
+    for (int i = 0; i < c.fifo; ++i) {
+      s.load_fifo.Push(c.data[c.consumed + static_cast<size_t>(c.win + i)]);
     }
   };
-  switch (sop_mode) {
+  sync_side(a_, ca);
+  sync_side(b_, cb);
+  const int rfifo = static_cast<int>(emitted - written) - sbuf;
+  result_fifo_.Clear();
+  for (int i = 0; i < rfifo; ++i) {
+    result_fifo_.Push(ring[(written + static_cast<uint64_t>(sbuf + i)) & 63]);
+  }
+  store_count_ = sbuf;
+  for (int i = 0; i < sbuf; ++i) {
+    store_buf_[static_cast<size_t>(i)] =
+        ring[(written + static_cast<uint64_t>(i)) & 63];
+  }
+  c_ptr_ = out_base + 4 * static_cast<uint64_t>(out_pos);
+  c_count_ += static_cast<uint32_t>(written);
+  counters_.sop_executions += d_sops;
+  counters_.elements_consumed += d_consumed;
+  counters_.elements_emitted += d_emitted;
+  counters_.matches += d_matches;
+  counters_.load_beats += d_load_beats;
+  counters_.store_beats += d_store_beats;
+  active_state_->Set(active ? 1 : 0);
+  if (any_word) cpu.set_reg(flag_reg, active ? 1u : 0u);
+  cpu.set_pc(next_pc);
+  return true;
+}
+
+bool EisExtension::RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu,
+                                  bool exact, uint64_t max_cycles,
+                                  sim::ExecStats& stats) {
+  switch (mode()) {
     case SopMode::kIntersect:
-      return steady.template operator()<SopMode::kIntersect>();
+      return SteadyLoop<SopMode::kIntersect>(loop, cpu, exact, max_cycles,
+                                             stats);
     case SopMode::kUnion:
-      return steady.template operator()<SopMode::kUnion>();
+      return SteadyLoop<SopMode::kUnion>(loop, cpu, exact, max_cycles, stats);
     case SopMode::kDifference:
-      return steady.template operator()<SopMode::kDifference>();
+      return SteadyLoop<SopMode::kDifference>(loop, cpu, exact, max_cycles,
+                                              stats);
     case SopMode::kMerge:
-      return steady.template operator()<SopMode::kMerge>();
+      return SteadyLoop<SopMode::kMerge>(loop, cpu, exact, max_cycles, stats);
   }
   return false;
 }

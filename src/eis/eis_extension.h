@@ -160,6 +160,10 @@ class EisExtension : public tie::TieExtension, public sim::LoopAccelerator {
   /// iterations. Merge loops stay exact in turbo.
   bool RunSetOpSteady(const sim::TieLoop& loop, sim::Cpu& cpu, bool exact,
                       uint64_t max_cycles, sim::ExecStats& stats);
+  /// RunSetOpSteady for one SopMode (the mode INIT set).
+  template <SopMode kMode>
+  bool SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu, bool exact,
+                  uint64_t max_cycles, sim::ExecStats& stats);
 
   // TIE states (scalar configuration/flag states).
   tie::TieState* mode_state_;     // 2 bits

@@ -36,21 +36,6 @@ Result<std::span<const uint32_t>> EmptyOperandResult(
                                  std::to_string(static_cast<int>(mode)));
 }
 
-void Window::Consume(int n) {
-  DBA_CHECK(n >= 0 && n <= count);
-  for (int i = n; i < count; ++i) {
-    lanes[static_cast<size_t>(i - n)] = lanes[static_cast<size_t>(i)];
-  }
-  count -= n;
-}
-
-void Window::Push(uint32_t value) {
-  DBA_CHECK_MSG(count < 4, "Window overflow");
-  DBA_CHECK_MSG(count == 0 || lanes[static_cast<size_t>(count - 1)] <= value,
-                "Window must stay sorted");
-  lanes[static_cast<size_t>(count++)] = value;
-}
-
 namespace {
 
 /// Consumption limit contributed by the opposite window: the comparator

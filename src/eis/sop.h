@@ -6,6 +6,7 @@
 #include <span>
 #include <string_view>
 
+#include "common/check.h"
 #include "common/status.h"
 
 namespace dba::eis {
@@ -43,9 +44,20 @@ struct Window {
   uint32_t max() const { return lanes[static_cast<size_t>(count - 1)]; }
 
   /// Drops the first `n` lanes (the consumed prefix).
-  void Consume(int n);
+  void Consume(int n) {
+    DBA_CHECK(n >= 0 && n <= count);
+    for (int i = n; i < count; ++i) {
+      lanes[static_cast<size_t>(i - n)] = lanes[static_cast<size_t>(i)];
+    }
+    count -= n;
+  }
   /// Appends one element (must keep the window sorted; checked).
-  void Push(uint32_t value);
+  void Push(uint32_t value) {
+    DBA_CHECK_MSG(count < 4, "Window overflow");
+    DBA_CHECK_MSG(count == 0 || lanes[static_cast<size_t>(count - 1)] <= value,
+                  "Window must stay sorted");
+    lanes[static_cast<size_t>(count++)] = value;
+  }
 };
 
 /// Outcome of one SOP execution: how many elements each window consumed

@@ -109,9 +109,7 @@ Status MemorySystem::AddRegion(Memory* memory) {
 }
 
 Result<Memory*> MemorySystem::Route(uint64_t addr, uint64_t bytes) const {
-  for (Memory* memory : regions_) {
-    if (memory->Contains(addr, bytes)) return memory;
-  }
+  if (Memory* memory = Find(addr, bytes)) return memory;
   return Status::NotFound("no memory region backs address 0x" +
                           std::to_string(addr));
 }

@@ -91,6 +91,13 @@ class MemorySystem {
 
   /// Memory backing `addr` for an access of `bytes`, or NotFound.
   Result<Memory*> Route(uint64_t addr, uint64_t bytes = 4) const;
+  /// Route without the Result: the backing memory, or nullptr.
+  Memory* Find(uint64_t addr, uint64_t bytes = 4) const {
+    for (Memory* memory : regions_) {
+      if (memory->Contains(addr, bytes)) return memory;
+    }
+    return nullptr;
+  }
 
   const std::vector<Memory*>& regions() const { return regions_; }
 

@@ -278,57 +278,8 @@ Result<mem::Memory*> Cpu::RouteData(uint64_t addr, uint64_t bytes) {
   return memory_system_.Route(addr, bytes);
 }
 
-// --- ExtContext ---
-
-int ExtContext::num_lsus() const { return cpu_->config().num_lsus; }
-
-uint32_t ExtContext::reg(Reg r) const { return cpu_->reg(r); }
-
-void ExtContext::set_reg(Reg r, uint32_t value) { cpu_->set_reg(r, value); }
-
-void ExtContext::AddCycles(uint32_t extra) { extra_cycles_ += extra; }
-
-namespace {
-int FoldLsu(int lsu, int num_lsus) {
-  return (lsu < 0 || lsu >= num_lsus) ? 0 : lsu;
-}
-}  // namespace
-
-Result<mem::Beat128> ExtContext::LoadBeat(int lsu, uint64_t addr) {
-  if (cpu_->config().data_bus_bits < 128) {
-    return Status::FailedPrecondition(
-        "128-bit beats require a 128-bit data bus");
-  }
-  lsu = FoldLsu(lsu, num_lsus());
-  DBA_ASSIGN_OR_RETURN(mem::Memory * memory, cpu_->RouteData(addr, 16));
-  beats_[lsu] += memory->config().access_latency;
-  return memory->Load128(addr);
-}
-
-Status ExtContext::StoreBeat(int lsu, uint64_t addr,
-                             const mem::Beat128& beat) {
-  if (cpu_->config().data_bus_bits < 128) {
-    return Status::FailedPrecondition(
-        "128-bit beats require a 128-bit data bus");
-  }
-  lsu = FoldLsu(lsu, num_lsus());
-  DBA_ASSIGN_OR_RETURN(mem::Memory * memory, cpu_->RouteData(addr, 16));
-  beats_[lsu] += memory->config().access_latency;
-  return memory->Store128(addr, beat);
-}
-
-Result<uint32_t> ExtContext::LoadWord(int lsu, uint64_t addr) {
-  lsu = FoldLsu(lsu, num_lsus());
-  DBA_ASSIGN_OR_RETURN(mem::Memory * memory, cpu_->RouteData(addr, 4));
-  beats_[lsu] += memory->config().access_latency;
-  return memory->LoadU32(addr);
-}
-
-Status ExtContext::StoreWord(int lsu, uint64_t addr, uint32_t value) {
-  lsu = FoldLsu(lsu, num_lsus());
-  DBA_ASSIGN_OR_RETURN(mem::Memory * memory, cpu_->RouteData(addr, 4));
-  beats_[lsu] += memory->config().access_latency;
-  return memory->StoreU32(addr, value);
+Status Cpu::NarrowBusError() {
+  return Status::FailedPrecondition("128-bit beats require a 128-bit data bus");
 }
 
 // --- Execution ---

@@ -147,6 +147,8 @@ class Cpu {
   /// of one issued word recorded in `ctx`.
   static void Charge(const ExtContext& ctx, ExecStats* stats);
   Result<mem::Memory*> RouteData(uint64_t addr, uint64_t bytes);
+  /// FailedPrecondition for a 128-bit beat on a narrower data bus.
+  static Status NarrowBusError();
 
   /// Segments the freshly decoded program into superblocks and resolves
   /// the per-pc extension handlers (decode-once micro-traces).
@@ -185,6 +187,50 @@ class Cpu {
   std::array<uint32_t, isa::kNumRegs> regs_{};
   uint32_t pc_ = 0;
 };
+
+inline int ExtContext::num_lsus() const { return cpu_->config().num_lsus; }
+
+inline uint32_t ExtContext::reg(isa::Reg r) const { return cpu_->reg(r); }
+
+inline void ExtContext::set_reg(isa::Reg r, uint32_t value) {
+  cpu_->set_reg(r, value);
+}
+
+inline mem::Memory* ExtContext::Port(int lsu, uint64_t addr, uint64_t bytes) {
+  mem::Memory* memory = cpu_->memory_system_.Find(addr, bytes);
+  if (memory != nullptr) {
+    const int port = lsu < 0 || lsu >= num_lsus() ? 0 : lsu;
+    beats_[port] += memory->config().access_latency;
+  }
+  return memory;
+}
+
+inline Result<mem::Beat128> ExtContext::LoadBeat(int lsu, uint64_t addr) {
+  if (cpu_->config().data_bus_bits < 128) return Cpu::NarrowBusError();
+  mem::Memory* memory = Port(lsu, addr, mem::kBeatBytes);
+  if (memory == nullptr) return cpu_->RouteData(addr, mem::kBeatBytes).status();
+  return memory->Load128(addr);
+}
+
+inline Status ExtContext::StoreBeat(int lsu, uint64_t addr,
+                                    const mem::Beat128& beat) {
+  if (cpu_->config().data_bus_bits < 128) return Cpu::NarrowBusError();
+  mem::Memory* memory = Port(lsu, addr, mem::kBeatBytes);
+  if (memory == nullptr) return cpu_->RouteData(addr, mem::kBeatBytes).status();
+  return memory->Store128(addr, beat);
+}
+
+inline Result<uint32_t> ExtContext::LoadWord(int lsu, uint64_t addr) {
+  mem::Memory* memory = Port(lsu, addr, 4);
+  if (memory == nullptr) return cpu_->RouteData(addr, 4).status();
+  return memory->LoadU32(addr);
+}
+
+inline Status ExtContext::StoreWord(int lsu, uint64_t addr, uint32_t value) {
+  mem::Memory* memory = Port(lsu, addr, 4);
+  if (memory == nullptr) return cpu_->RouteData(addr, 4).status();
+  return memory->StoreU32(addr, value);
+}
 
 }  // namespace dba::sim
 

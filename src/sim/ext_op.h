@@ -34,8 +34,10 @@ class ExtContext {
   ExtContext& operator=(const ExtContext&) = delete;
 
   uint16_t operand() const { return operand_; }
-  int num_lsus() const;
 
+  // The accessors below run on every extension word; they are defined
+  // inline in sim/cpu.h, where Cpu is complete.
+  int num_lsus() const;
   uint32_t reg(isa::Reg r) const;
   void set_reg(isa::Reg r, uint32_t value);
 
@@ -49,10 +51,15 @@ class ExtContext {
   Status StoreWord(int lsu, uint64_t addr, uint32_t value);
 
   /// Declares `extra` additional cycles consumed by this operation.
-  void AddCycles(uint32_t extra);
+  void AddCycles(uint32_t extra) { extra_cycles_ += extra; }
 
  private:
   friend class Cpu;
+
+  /// The memory backing an access of `bytes` at `addr`, with the access
+  /// charged to `lsu` (folded onto LSU 0 when out of range); nullptr,
+  /// charging nothing, when no region backs it.
+  mem::Memory* Port(int lsu, uint64_t addr, uint64_t bytes);
 
   Cpu* cpu_;
   uint16_t operand_;

@@ -781,6 +781,9 @@ Result<ParallelRun> Board::ExecutePartitioned(
       item_results->push_back(std::move(slot.result));
     }
   } else {
+    size_t total = 0;
+    for (const Slot& slot : slots) total += slot.result.size();
+    run.result.reserve(total);
     for (Slot& slot : slots) {
       run.result.insert(run.result.end(), slot.result.begin(),
                         slot.result.end());
@@ -829,30 +832,41 @@ Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
   std::sort(sample.begin(), sample.end());
   const std::vector<uint32_t> splitters = PickSplitters(sample, num_cores());
 
-  // Bucket the input.
-  std::vector<std::vector<uint32_t>> buckets(
-      static_cast<size_t>(num_cores()));
-  for (const uint32_t value : values) {
-    const size_t bucket = static_cast<size_t>(
-        std::lower_bound(splitters.begin(), splitters.end(), value) -
+  // Bucket the input: a counting pass, then one scatter into a single
+  // buffer. Bucket i is the span [start[i], start[i + 1]) of it and
+  // keeps its values in input order.
+  const size_t num_buckets = static_cast<size_t>(num_cores());
+  std::vector<uint16_t> bucket_of(values.size());  // num_cores <= 1024
+  std::vector<size_t> start(num_buckets + 1, 0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const auto bucket = static_cast<uint16_t>(
+        std::lower_bound(splitters.begin(), splitters.end(), values[i]) -
         splitters.begin());
-    buckets[bucket].push_back(value);
+    bucket_of[i] = bucket;
+    ++start[bucket + 1u];
+  }
+  for (size_t i = 0; i < num_buckets; ++i) start[i + 1] += start[i];
+  std::vector<uint32_t> bucketed(values.size());
+  std::vector<size_t> next_slot(start.begin(), start.end() - 1);
+  for (size_t i = 0; i < values.size(); ++i) {
+    bucketed[next_slot[bucket_of[i]]++] = values[i];
   }
 
   // Duplicate-heavy or tiny inputs can yield fewer than num_cores-1
   // splitters; buckets past splitters.size() are then always empty (the
   // lower_bound index never exceeds splitters.size()) but still need
   // in-bounds placeholder ranges.
-  std::vector<PartitionWork> parts(buckets.size());
-  for (size_t i = 0; i < buckets.size(); ++i) {
+  std::vector<PartitionWork> parts(num_buckets);
+  for (size_t i = 0; i < num_buckets; ++i) {
     PartitionWork& part = parts[i];
-    part.a = buckets[i];
+    part.a = std::span<const uint32_t>(bucketed).subspan(
+        start[i], start[i + 1] - start[i]);
     part.lo = i == 0 ? 0
               : i <= splitters.size() ? splitters[i - 1] + 1
                                       : 0xFFFFFFFFu;
     part.hi = i < splitters.size() ? splitters[i] : 0xFFFFFFFFu;
-    part.feed_bytes = 4 * buckets[i].size();  // result out adds the rest
-    part.active = !buckets[i].empty();
+    part.feed_bytes = 4 * part.a.size();  // result out adds the rest
+    part.active = !part.a.empty();
     part.op = SetOp::kMerge;  // sort verification is non-decreasing
   }
 
