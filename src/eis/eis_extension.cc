@@ -1,8 +1,10 @@
 #include "eis/eis_extension.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string_view>
 
 #if defined(__x86_64__)
@@ -60,8 +62,9 @@ bool MatchSteadyLoopShape(const sim::TieLoop& loop, uint16_t load_op,
 /// mirrored line for line from ComputeSop -- consumption limits, the
 /// two-pointer order, and the four-element emission truncation -- and
 /// pinned to it by the differential test suite. Result slot k lands in
-/// ring[(at + k) & 63]; the slots just past the emitted ones are scratch
-/// (at most five are written).
+/// ring[(at + k) & 63]; the slots just past the emitted ones are scratch.
+/// An SOP form writes up to eight slots from `at` (this one at most
+/// five, SimdSopUnion up to eight).
 struct SteadySopOutcome {
   int consume_a = 0;
   int consume_b = 0;
@@ -272,17 +275,21 @@ __attribute__((target("ssse3,popcnt"))) inline void SimdIntersectRun(
   *pmatches = matches;
 }
 
-/// SIMD form of one exact intersect SOP word over two full windows.
-/// Valid because intersect never truncates its emission (at most four
-/// matches per window pair) and the two-pointer always consumes exactly
-/// to the consumption limits; the emitted values are the matched A lanes
-/// in order, written to ring[(at + k) & 63] as in SteadySop. Needs a
-/// strictly increasing A block (the monotone-stream case; anything else
-/// returns false and takes the scalar path with exact pairwise
-/// semantics).
-__attribute__((target("ssse3,popcnt"))) inline bool SimdSopIntersect(
+/// SIMD form of one exact intersect or difference SOP word over two full
+/// windows. Valid because neither op truncates its emission (an A lane
+/// emits at most once, a B lane never) and the two-pointer always
+/// consumes exactly to the consumption limits; the emitted values are
+/// the A lanes within A's limit that match a B lane (intersect) or match
+/// none (difference), in order, written to ring[(at + k) & 63] as in
+/// SteadySop. Needs a strictly increasing A window (the monotone-stream
+/// case; anything else returns false and takes the scalar path with
+/// exact pairwise semantics); duplicates inside B only repeat a match.
+template <SopMode kMode>
+__attribute__((target("ssse3,popcnt"))) inline bool SimdSopFilter(
     const uint32_t* pa, const uint32_t* pb, uint32_t* ring, uint64_t at,
     SteadySopOutcome* out) {
+  static_assert(kMode == SopMode::kIntersect ||
+                kMode == SopMode::kDifference);
   if (!(pa[0] < pa[1] && pa[1] < pa[2] && pa[2] < pa[3])) return false;
   const uint32_t amax = pa[3];
   const uint32_t bmax = pb[3];
@@ -296,19 +303,20 @@ __attribute__((target("ssse3,popcnt"))) inline bool SimdSopIntersect(
   m = _mm_or_si128(m, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));
   m = _mm_or_si128(m, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));
   m = _mm_or_si128(m, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));
-  const int mask =
-      _mm_movemask_ps(_mm_castsi128_ps(m)) & ((1 << limit_a) - 1);
+  const int limit_mask = (1 << limit_a) - 1;
+  const int matched = _mm_movemask_ps(_mm_castsi128_ps(m)) & limit_mask;
+  const int keep =
+      kMode == SopMode::kIntersect ? matched : ~matched & limit_mask;
   const __m128i comp = _mm_shuffle_epi8(
       va,
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kCompact.ctl[mask])));
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kCompact.ctl[keep])));
   alignas(16) uint32_t lanes[4];
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), comp);
   for (int k = 0; k < 4; ++k) {
     ring[(at + static_cast<uint64_t>(k)) & 63] = lanes[k];
   }
-  const int n = __builtin_popcount(static_cast<unsigned>(mask));
-  out->emit_count = n;
-  out->matches = n;
+  out->emit_count = __builtin_popcount(static_cast<unsigned>(keep));
+  out->matches = __builtin_popcount(static_cast<unsigned>(matched));
   out->consume_a = limit_a;
   out->consume_b = limit_b;
   return true;
@@ -325,6 +333,29 @@ inline void RankAgainst(__m128i self, __m128i other, __m128i* below,
   const __m128i rotated = _mm_shuffle_epi32(other, kRotation);
   *below = _mm_sub_epi32(*below, _mm_cmpgt_epi32(self, rotated));
   *equal = _mm_or_si128(*equal, _mm_cmpeq_epi32(self, rotated));
+}
+
+/// Each lane's rank terms against all four lanes of the other window:
+/// how many lie strictly below it, and whether one equals it.
+struct WindowRanks {
+  __m128i below_a;
+  __m128i equal_a;
+  __m128i below_b;
+  __m128i equal_b;
+};
+
+inline WindowRanks RankWindows(__m128i sa, __m128i sb) {
+  WindowRanks r{_mm_setzero_si128(), _mm_setzero_si128(),
+                _mm_setzero_si128(), _mm_setzero_si128()};
+  RankAgainst<0xE4>(sa, sb, &r.below_a, &r.equal_a);
+  RankAgainst<0x39>(sa, sb, &r.below_a, &r.equal_a);
+  RankAgainst<0x4E>(sa, sb, &r.below_a, &r.equal_a);
+  RankAgainst<0x93>(sa, sb, &r.below_a, &r.equal_a);
+  RankAgainst<0xE4>(sb, sa, &r.below_b, &r.equal_b);
+  RankAgainst<0x39>(sb, sa, &r.below_b, &r.equal_b);
+  RankAgainst<0x4E>(sb, sa, &r.below_b, &r.equal_b);
+  RankAgainst<0x93>(sb, sa, &r.below_b, &r.equal_b);
+  return r;
 }
 
 /// One compare-exchange stage of a sorting network on sign-flipped lanes:
@@ -369,18 +400,7 @@ inline bool SimdSopMerge(const uint32_t* pa, const uint32_t* pb,
   const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb));
   const __m128i sa = _mm_xor_si128(va, sign);
   const __m128i sb = _mm_xor_si128(vb, sign);
-  __m128i below_a = _mm_setzero_si128();
-  __m128i equal_a = _mm_setzero_si128();
-  __m128i below_b = _mm_setzero_si128();
-  __m128i equal_b = _mm_setzero_si128();
-  RankAgainst<0xE4>(sa, sb, &below_a, &equal_a);
-  RankAgainst<0x39>(sa, sb, &below_a, &equal_a);
-  RankAgainst<0x4E>(sa, sb, &below_a, &equal_a);
-  RankAgainst<0x93>(sa, sb, &below_a, &equal_a);
-  RankAgainst<0xE4>(sb, sa, &below_b, &equal_b);
-  RankAgainst<0x39>(sb, sa, &below_b, &equal_b);
-  RankAgainst<0x4E>(sb, sa, &below_b, &equal_b);
-  RankAgainst<0x93>(sb, sa, &below_b, &equal_b);
+  const auto [below_a, equal_a, below_b, equal_b] = RankWindows(sa, sb);
   if (_mm_movemask_epi8(equal_a) != 0) {
     // Lanes 1-3 equal to their predecessor: a duplicate inside a side.
     const __m128i dup = _mm_or_si128(
@@ -417,7 +437,61 @@ inline bool SimdSopMerge(const uint32_t* pa, const uint32_t* pb,
   return true;
 }
 
-inline bool SimdIntersectAvailable() {
+/// SIMD form of one exact union SOP word over two full, strictly
+/// increasing windows (SSE2, so it needs no CPU check). The two-pointer
+/// walk of SteadySop emits each distinct value once in value order, a
+/// matched pair as one step, and stops once four are out; so a lane's
+/// Result slot is the number of distinct values below it across both
+/// windows, and the lane is consumed when that number is under four. A
+/// lane past its side's consumption limit exceeds all four lanes of the
+/// other window, so its slot is at least four and the limits need no
+/// mask. Every lane writes its slot, ring[(at + slot) & 63] with slot up
+/// to seven; both lanes of a matched pair write the same value to the
+/// same slot. A window that is not strictly increasing returns false,
+/// writing nothing, and SteadySop runs the word.
+inline bool SimdSopUnion(const uint32_t* pa, const uint32_t* pb,
+                         uint32_t* ring, uint64_t at, SteadySopOutcome* out) {
+  const __m128i sign = _mm_set1_epi32(INT32_MIN);
+  const __m128i sa = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa)), sign);
+  const __m128i sb = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb)), sign);
+  // Lanes 1-3 above their predecessor, on both sides.
+  const __m128i rising =
+      _mm_and_si128(_mm_cmpgt_epi32(sa, _mm_shuffle_epi32(sa, 0x90)),
+                    _mm_cmpgt_epi32(sb, _mm_shuffle_epi32(sb, 0x90)));
+  if ((_mm_movemask_ps(_mm_castsi128_ps(rising)) & 0xE) != 0xE) return false;
+  const auto [below_a, equal_a, below_b, equal_b] = RankWindows(sa, sb);
+  // Distinct values below a lane: the lanes below it on its own side,
+  // plus those on the other side, less the matched pairs among them
+  // (counted on both sides). `equal` lanes are -1, so its exclusive
+  // prefix sum is minus the matched lanes below.
+  const auto slots = [](__m128i below, __m128i equal) {
+    __m128i before = _mm_slli_si128(equal, 4);
+    before = _mm_add_epi32(before, _mm_slli_si128(before, 4));
+    before = _mm_add_epi32(before, _mm_slli_si128(before, 8));
+    return _mm_add_epi32(_mm_add_epi32(_mm_setr_epi32(0, 1, 2, 3), below),
+                         before);
+  };
+  const __m128i slot_a = slots(below_a, equal_a);
+  const __m128i slot_b = slots(below_b, equal_b);
+  const __m128i four = _mm_set1_epi32(4);
+  const __m128i fits_a = _mm_cmpgt_epi32(four, slot_a);
+  alignas(16) uint32_t slot[8];
+  _mm_store_si128(reinterpret_cast<__m128i*>(slot), slot_a);
+  _mm_store_si128(reinterpret_cast<__m128i*>(slot + 4), slot_b);
+  for (int k = 0; k < 4; ++k) {
+    ring[(at + slot[k]) & 63] = pa[k];
+    ring[(at + slot[4 + k]) & 63] = pb[k];
+  }
+  out->consume_a = LaneCount(fits_a);
+  out->consume_b = LaneCount(_mm_cmpgt_epi32(four, slot_b));
+  out->matches = LaneCount(_mm_and_si128(fits_a, equal_a));
+  out->emit_count = out->consume_a + out->consume_b - out->matches;
+  return true;
+}
+
+inline bool Ssse3Available() {
   static const bool available =
       __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("popcnt");
   return available;
@@ -817,8 +891,11 @@ bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
   const bool taken_if_idle = EvalBranch(loop.branch, 0, rs2_value);
   const mem::MemorySystem& memory = cpu.memory_system();
 #if defined(__x86_64__)
-  const bool use_simd =
-      kMode == SopMode::kIntersect && SimdIntersectAvailable();
+  // The SSSE3 forms: the intersect bulk run and the compare-and-compact
+  // SOP of intersect and difference.
+  const bool use_ssse3 =
+      (kMode == SopMode::kIntersect || kMode == SopMode::kDifference) &&
+      Ssse3Available();
 #endif
 
   const auto resolve = [&memory](const StreamSide& s, Cursor* c) -> bool {
@@ -863,7 +940,8 @@ bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
 
   // Result cursor: packs land directly in the backing region; the ring
   // keeps the last <= 36 emitted elements (Store states and result FIFO)
-  // so both can be reconstructed on exit.
+  // so both can be reconstructed on exit, and an SOP form writes up to
+  // eight scratch slots past `emitted`.
   mem::Memory* const result_memory = memory.Find(c_ptr_, mem::kBeatBytes);
   if (result_memory == nullptr) return false;
   uint32_t* const out_data =
@@ -875,6 +953,10 @@ bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
   if (out_pos > out_words) return false;
 
   uint32_t ring[64];
+  constexpr size_t kSopScratchSlots = 8;
+  static_assert(std::size(ring) >= std::tuple_size_v<decltype(store_buf_)> +
+                                       decltype(result_fifo_)::capacity() +
+                                       kSopScratchSlots);
   uint64_t written = 0;
   int sbuf = store_count_;  // 0 or 4: ST_S fills all four Store states
   uint64_t emitted = static_cast<uint64_t>(sbuf);
@@ -1014,7 +1096,7 @@ bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
         // bookkeeping is re-established so the scalar loop and the
         // exact tail continue on consistent state.
         if constexpr (kMode == SopMode::kIntersect) {
-          if (use_simd && ia >= 1 && ib >= 1) {
+          if (use_ssse3 && ia >= 1 && ib >= 1) {
             const size_t pending = static_cast<size_t>(emitted - written);
             size_t eo = out_pos + pending;
             const size_t eo_before = eo;
@@ -1129,16 +1211,14 @@ bool EisExtension::SteadyLoop(const sim::TieLoop& loop, sim::Cpu& cpu,
       // beats may carry stale local-store words from an earlier kernel).
       // SteadySop has exact partial-window semantics.
       if (ca.win == 4 && cb.win == 4) {
-        if constexpr (kMode == SopMode::kIntersect) {
-          if (use_simd) {
-            simd_done = SimdSopIntersect(ca.data + ca.consumed,
-                                         cb.data + cb.consumed, ring,
-                                         emitted, &outcome);
-          }
+        const uint32_t* const pa = ca.data + ca.consumed;
+        const uint32_t* const pb = cb.data + cb.consumed;
+        if constexpr (kMode == SopMode::kUnion) {
+          simd_done = SimdSopUnion(pa, pb, ring, emitted, &outcome);
         } else if constexpr (kMode == SopMode::kMerge) {
-          simd_done = SimdSopMerge(ca.data + ca.consumed,
-                                   cb.data + cb.consumed, ring, emitted,
-                                   &outcome);
+          simd_done = SimdSopMerge(pa, pb, ring, emitted, &outcome);
+        } else if (use_ssse3) {
+          simd_done = SimdSopFilter<kMode>(pa, pb, ring, emitted, &outcome);
         }
       }
 #endif

@@ -832,29 +832,68 @@ Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
   std::sort(sample.begin(), sample.end());
   const std::vector<uint32_t> splitters = PickSplitters(sample, num_cores());
 
-  // Bucket the input: a counting pass, then one scatter into a single
-  // buffer. Bucket i is the span [start[i], start[i + 1]) of it and
-  // keeps its values in input order.
+  // A value's bucket is the number of splitters below it (the index
+  // std::lower_bound returns), found by a branch-free binary search over
+  // the splitters padded with 0xFFFFFFFF, which is below no value, to a
+  // power of two; at least one pad keeps the count under the padded
+  // width.
+  size_t width = 1;
+  while (width <= splitters.size()) width <<= 1;
+  std::vector<uint32_t> bounds(width, 0xFFFFFFFFu);
+  std::copy(splitters.begin(), splitters.end(), bounds.begin());
+  const auto bucket_of_value = [&bounds, width](uint32_t value) {
+    size_t bucket = 0;
+    for (size_t step = width >> 1; step > 0; step >>= 1) {
+      bucket += bounds[bucket + step - 1] < value ? step : 0;
+    }
+    return static_cast<uint16_t>(bucket);  // num_cores <= 1024
+  };
+
+  // Bucket the input into one buffer: a counting pass, then a scatter,
+  // each over the host pool with one contiguous input chunk per host
+  // thread. Bucket b is the span [start[b], start[b + 1]) of the buffer,
+  // and inside it chunk c's values follow those of chunks 0..c-1, so
+  // every bucket keeps its values in input order at any host_threads.
   const size_t num_buckets = static_cast<size_t>(num_cores());
-  std::vector<uint16_t> bucket_of(values.size());  // num_cores <= 1024
+  const size_t chunks = static_cast<size_t>(host_threads_);
+  const size_t chunk_size = (values.size() + chunks - 1) / chunks;
+  const auto chunk_begin = [&](size_t c) {
+    return std::min(values.size(), c * chunk_size);
+  };
+  std::vector<uint16_t> bucket_of(values.size());
+  std::vector<size_t> offset(chunks * num_buckets);  // [chunk][bucket]
+  ForEachCore(chunks, [&](size_t c) {
+    std::vector<size_t> count(num_buckets, 0);
+    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+      const uint16_t bucket = bucket_of_value(values[i]);
+      bucket_of[i] = bucket;
+      ++count[bucket];
+    }
+    std::copy(count.begin(), count.end(), offset.data() + c * num_buckets);
+  });
   std::vector<size_t> start(num_buckets + 1, 0);
-  for (size_t i = 0; i < values.size(); ++i) {
-    const auto bucket = static_cast<uint16_t>(
-        std::lower_bound(splitters.begin(), splitters.end(), values[i]) -
-        splitters.begin());
-    bucket_of[i] = bucket;
-    ++start[bucket + 1u];
+  size_t filled = 0;
+  for (size_t b = 0; b < num_buckets; ++b) {
+    start[b] = filled;
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t count = offset[c * num_buckets + b];
+      offset[c * num_buckets + b] = filled;
+      filled += count;
+    }
   }
-  for (size_t i = 0; i < num_buckets; ++i) start[i + 1] += start[i];
+  start[num_buckets] = filled;
   std::vector<uint32_t> bucketed(values.size());
-  std::vector<size_t> next_slot(start.begin(), start.end() - 1);
-  for (size_t i = 0; i < values.size(); ++i) {
-    bucketed[next_slot[bucket_of[i]]++] = values[i];
-  }
+  ForEachCore(chunks, [&](size_t c) {
+    std::vector<size_t> next(offset.data() + c * num_buckets,
+                             offset.data() + (c + 1) * num_buckets);
+    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+      bucketed[next[bucket_of[i]]++] = values[i];
+    }
+  });
 
   // Duplicate-heavy or tiny inputs can yield fewer than num_cores-1
   // splitters; buckets past splitters.size() are then always empty (the
-  // lower_bound index never exceeds splitters.size()) but still need
+  // bucket search never exceeds splitters.size()) but still need
   // in-bounds placeholder ranges.
   std::vector<PartitionWork> parts(num_buckets);
   for (size_t i = 0; i < num_buckets; ++i) {

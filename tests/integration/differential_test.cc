@@ -483,13 +483,26 @@ TEST(GoldenStatsTest, ReferenceRunsMatchPinnedStats) {
 
 // --- Lean fast-forward path (profile off) ---
 
-/// Sorted values in [0, universe) with duplicates (merge inputs).
+/// Sorted values in [0, universe) with duplicates.
 std::vector<uint32_t> SortedWithDuplicates(uint32_t n, uint32_t universe,
                                            uint64_t seed) {
   Random rng(seed);
   std::vector<uint32_t> values(n);
   for (uint32_t& v : values) v = static_cast<uint32_t>(rng.Uniform(universe));
   std::sort(values.begin(), values.end());
+  return values;
+}
+
+/// Strictly increasing values below 2n, dense enough to meet the values
+/// of a duplicate-bearing other side.
+std::vector<uint32_t> SortedDistinct(uint32_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<uint32_t> values(n);
+  uint32_t value = 0;
+  for (uint32_t& v : values) {
+    v = value;
+    value += 1 + static_cast<uint32_t>(rng.Uniform(2));
+  }
   return values;
 }
 
@@ -525,13 +538,19 @@ std::vector<LeanCase> SetCases(const Processor& processor, bool duplicates) {
     c.name = std::to_string(na) + "x" + std::to_string(nb);
     if (duplicates) {
       // Few distinct values: long equal runs within a side, across beat
-      // boundaries, and matched pairs across the sides. Side B keeps
-      // distinct values in every other case (duplicates within one side).
+      // boundaries, and matched pairs across the sides. The cases rotate
+      // through duplicates on both sides, on A only and on B only, so a
+      // SIMD form that needs one side strictly increasing also meets a
+      // duplicate-bearing other side.
       c.name += "-dup";
-      c.a = SortedWithDuplicates(na, std::max<uint32_t>(na / 3, 2), seed++);
-      c.b = seed % 2 == 0 ? SortedWithDuplicates(
-                                nb, std::max<uint32_t>(nb / 2, 2), seed++)
-                          : GenerateSetPair(0, nb, 0.0, seed++)->b;
+      const uint64_t shape = seed % 3;
+      c.a = shape == 2 ? SortedDistinct(na, seed)
+                       : SortedWithDuplicates(
+                             na, std::max<uint32_t>(na / 3, 2), seed);
+      c.b = shape == 1 ? SortedDistinct(nb, seed + 1)
+                       : SortedWithDuplicates(
+                             nb, std::max<uint32_t>(nb / 2, 2), seed + 1);
+      seed += 2;
     } else {
       auto pair = GenerateSetPair(na, nb, 0.5, seed++);
       if (!pair.ok()) continue;
@@ -576,7 +595,9 @@ TEST(LeanDifferentialTest, FastForwardBitIdenticalToInterpret) {
           std::vector<LeanCase> cases =
               kernel.sort ? SortCases(**processor)
                           : SetCases(**processor, /*duplicates=*/false);
-          if (kernel.op == SetOp::kMerge && !kernel.sort) {
+          // Duplicate-bearing windows make the SIMD SOP forms decline to
+          // SteadySop (set ops run them without input validation).
+          if (!kernel.sort && (!kernel.scalar || kernel.op == SetOp::kMerge)) {
             for (LeanCase& c : SetCases(**processor, /*duplicates=*/true)) {
               cases.push_back(std::move(c));
             }

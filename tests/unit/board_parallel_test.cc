@@ -89,6 +89,58 @@ TEST(BoardParallelTest, SortBitIdenticalAcrossHostThreads) {
   }
 }
 
+// A sort's schedule follows from its buckets: the splitters decide how
+// many values each core gets and the order of the values inside a bucket
+// decides the cycles its core's sort takes. The figures were recorded
+// with the bucketing done on one thread; the pool-parallel bucketing
+// must leave every bucket with the same values in the same order, so a
+// reordered bucket shows here even when the sorted result does not.
+struct PinnedSort {
+  const char* name;
+  std::vector<uint32_t> values;
+  std::vector<uint64_t> per_core_cycles;
+  uint64_t makespan_cycles;
+};
+
+std::vector<uint32_t> FewDistinctValues(uint32_t n, uint64_t seed) {
+  // Five distinct values, 0 and 0xFFFFFFFF among them: the sample
+  // yields fewer splitters than cores, the last of them 0xFFFFFFFF.
+  constexpr uint32_t kValues[] = {0, 7, 0x80000000u, 0xFFFFFFFEu,
+                                  0xFFFFFFFFu};
+  std::vector<uint32_t> values = GenerateSortInput(n, seed);
+  for (uint32_t& value : values) value = kValues[value % 5];
+  return values;
+}
+
+TEST(BoardParallelTest, SortSchedulePinnedAcrossHostThreads) {
+  const PinnedSort cases[] = {
+      {"random",
+       GenerateSortInput(192000, 21),
+       {176962, 232198, 208085, 204741, 164657, 206764, 237593, 219490,
+        214972, 202741, 159082, 224040, 204034, 208556, 236785, 202315},
+       237593},
+      {"five distinct values",
+       FewDistinctValues(48000, 22),
+       {154681, 154819, 157874, 159315, 156397, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0},
+       159315},
+  };
+  for (const PinnedSort& pinned : cases) {
+    std::vector<uint32_t> expected = pinned.values;
+    std::sort(expected.begin(), expected.end());
+    for (int host_threads : {1, 2, 3}) {
+      auto board = MakeBoard(16, host_threads);
+      auto run = board->RunSort(pinned.values);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(run->result, expected) << pinned.name;
+      EXPECT_EQ(run->per_core_cycles, pinned.per_core_cycles)
+          << pinned.name << " at host_threads " << host_threads;
+      EXPECT_EQ(run->makespan_cycles, pinned.makespan_cycles)
+          << pinned.name << " at host_threads " << host_threads;
+    }
+  }
+}
+
 TEST(BoardParallelTest, SmallInputsBitIdenticalAcrossHostThreads) {
   // In-store path: partitions fit the local memories.
   auto pair = GenerateSetPair(6000, 5000, 0.5, 3);
