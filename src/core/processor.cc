@@ -7,7 +7,6 @@
 
 #include "common/bits.h"
 #include "common/check.h"
-#include "dbkern/scalar_kernels.h"
 #include "isa/registers.h"
 #include "obs/metrics/metrics.h"
 
@@ -60,14 +59,6 @@ obs::Counter* ProgramCacheHits() {
   return counter;
 }
 
-obs::Counter* ProgramBuilds() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "dba_core_program_builds_total",
-          "Kernel programs assembled (lazy per-processor builds).");
-  return counter;
-}
-
 // Flat address map of the processor model. LSU0 serves LDM0, LSU1
 // serves LDM1; the result region sits on the store port. 108Mini has no
 // local store and runs entirely from the (slower) system memory.
@@ -79,8 +70,6 @@ constexpr uint64_t kSysBase = 0x1000'0000;
 constexpr uint64_t kSysSize = 32ull << 20;
 constexpr uint32_t kSysLatencyCycles = 4;
 constexpr uint64_t kLocalDataBytesTotal = 64ull << 10;
-
-constexpr int kSortProgramKey = 99;
 
 Status ValidateStrictlyIncreasing(std::span<const uint32_t> values,
                                   const char* which) {
@@ -127,23 +116,25 @@ Processor::Processor(ProcessorKind kind, const ProcessorOptions& options)
 
 Result<std::unique_ptr<Processor>> Processor::Create(
     ProcessorKind kind, const ProcessorOptions& options) {
-  return Create(kind, options, nullptr);
+  // ProgramCache::Build rejects an unroll factor outside 1..256.
+  DBA_ASSIGN_OR_RETURN(std::shared_ptr<const ProgramCache> programs,
+                       ProgramCache::Build(options));
+  return Create(kind, options, std::move(programs));
 }
 
 Result<std::unique_ptr<Processor>> Processor::Create(
     ProcessorKind kind, const ProcessorOptions& options,
     std::shared_ptr<const ProgramCache> programs) {
-  if (options.unroll < 1 || options.unroll > 256) {
-    return Status::InvalidArgument("unroll factor must be in 1..256");
+  if (programs == nullptr) {
+    return Status::InvalidArgument("Processor::Create needs a ProgramCache");
   }
-  if (programs != nullptr &&
-      (programs->partial_loading() != options.partial_loading ||
-       programs->unroll() != options.unroll)) {
+  if (programs->partial_loading() != options.partial_loading ||
+      programs->unroll() != options.unroll) {
     return Status::InvalidArgument(
         "shared ProgramCache was built with different kernel options");
   }
   std::unique_ptr<Processor> processor(new Processor(kind, options));
-  processor->shared_programs_ = std::move(programs);
+  processor->programs_ = std::move(programs);
   DBA_RETURN_IF_ERROR(processor->Build());
   return processor;
 }
@@ -230,60 +221,17 @@ uint32_t Processor::max_sort_elements() const {
 
 Result<const isa::Program*> Processor::setop_program(SetOp op,
                                                      bool scalar) {
-  return GetProgram(op, scalar);
+  const isa::Program* program = programs_->setop(op, scalar);
+  if (program == nullptr) {
+    return Status::InvalidArgument("no kernel program for this operation");
+  }
+  ProgramCacheHits()->Increment();
+  return program;
 }
 
 Result<const isa::Program*> Processor::sort_program(bool scalar) {
-  if (shared_programs_ != nullptr) {
-    const isa::Program* program = shared_programs_->sort(scalar);
-    if (program == nullptr) {
-      return Status::Internal("shared ProgramCache lacks the sort kernel");
-    }
-    ProgramCacheHits()->Increment();
-    return program;
-  }
-  const auto key = std::make_pair(kSortProgramKey, scalar);
-  auto it = program_cache_.find(key);
-  if (it == program_cache_.end()) {
-    Result<isa::Program> built = scalar ? dbkern::BuildScalarMergeSort()
-                                        : dbkern::BuildEisMergeSort();
-    if (!built.ok()) return built.status();
-    it = program_cache_.emplace(key, *std::move(built)).first;
-    ProgramBuilds()->Increment();
-  } else {
-    ProgramCacheHits()->Increment();
-  }
-  return &it->second;
-}
-
-Result<const isa::Program*> Processor::GetProgram(SetOp op, bool scalar) {
-  if (shared_programs_ != nullptr) {
-    const isa::Program* program = shared_programs_->setop(op, scalar);
-    if (program == nullptr) {
-      return Status::Internal(
-          "shared ProgramCache lacks a built kernel for this operation");
-    }
-    ProgramCacheHits()->Increment();
-    return program;
-  }
-  const int op_key = static_cast<int>(op);
-  const auto key = std::make_pair(op_key, scalar);
-  auto it = program_cache_.find(key);
-  if (it == program_cache_.end()) {
-    Result<isa::Program> built =
-        op == SetOp::kMerge
-            ? (scalar ? dbkern::BuildScalarMergePair()
-                      : dbkern::BuildEisMergePair())
-            : (scalar ? dbkern::BuildScalarSetOp(op)
-                      : dbkern::BuildEisSetOp(op, options_.partial_loading,
-                                              options_.unroll));
-    if (!built.ok()) return built.status();
-    it = program_cache_.emplace(key, *std::move(built)).first;
-    ProgramBuilds()->Increment();
-  } else {
-    ProgramCacheHits()->Increment();
-  }
-  return &it->second;
+  ProgramCacheHits()->Increment();
+  return programs_->sort(scalar);
 }
 
 RunMetrics Processor::MakeMetrics(uint64_t elements,
@@ -323,7 +271,8 @@ Result<SetOpRun> Processor::RunSetOperation(SetOp op,
         "; stream larger sets with the data prefetcher (src/prefetch)");
   }
   const bool scalar = settings.force_scalar || !kind_has_eis();
-  DBA_ASSIGN_OR_RETURN(const isa::Program* program, GetProgram(op, scalar));
+  DBA_ASSIGN_OR_RETURN(const isa::Program* program,
+                       setop_program(op, scalar));
   const std::string phase = std::string(eis::SopModeName(op)) + "[" +
                             std::string(hwmodel::ConfigKindName(kind_)) + "]";
   return ExecuteBinaryKernel(*program, a, b, settings, phase);
@@ -352,7 +301,7 @@ Result<SetOpRun> Processor::RunMerge(std::span<const uint32_t> a,
   }
   const bool scalar = settings.force_scalar || !kind_has_eis();
   DBA_ASSIGN_OR_RETURN(const isa::Program* program,
-                       GetProgram(SetOp::kMerge, scalar));
+                       setop_program(SetOp::kMerge, scalar));
   const std::string phase = "merge[" +
                             std::string(hwmodel::ConfigKindName(kind_)) + "]";
   return ExecuteBinaryKernel(*program, a, b, settings, phase);

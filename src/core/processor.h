@@ -1,7 +1,6 @@
 #ifndef DBA_CORE_PROCESSOR_H_
 #define DBA_CORE_PROCESSOR_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -99,14 +98,15 @@ struct SortRun {
 ///   // run->result, run->metrics.throughput_meps, ...
 class Processor {
  public:
+  /// Creates a processor with its own ProgramCache, built for `options`.
   static Result<std::unique_ptr<Processor>> Create(
       ProcessorKind kind, const ProcessorOptions& options = {});
 
   /// Creates a processor that reads its kernel programs from a shared
-  /// immutable cache instead of assembling its own (the board hands one
-  /// cache to all of its cores; see ProgramCache). `programs` must have
-  /// been built with the same kernel options and outlives nothing -- the
-  /// processor keeps a shared reference. Fails on an options mismatch.
+  /// immutable cache (the board hands one cache to all of its cores; see
+  /// ProgramCache). `programs` must be non-null and built with the same
+  /// kernel options; the processor keeps a shared reference. Fails on a
+  /// null cache or an options mismatch.
   static Result<std::unique_ptr<Processor>> Create(
       ProcessorKind kind, const ProcessorOptions& options,
       std::shared_ptr<const ProgramCache> programs);
@@ -153,7 +153,9 @@ class Processor {
   eis::EisExtension* eis() { return eis_.get(); }
 
   /// Kernel programs as loaded into the instruction memory -- input for
-  /// the disassembler and toolchain::BuildProfile.
+  /// the disassembler and toolchain::BuildProfile. Every kernel a run
+  /// loads is looked up here, in the processor's ProgramCache; `op`
+  /// kMerge is the merge-pair kernel.
   Result<const isa::Program*> setop_program(SetOp op, bool scalar);
   Result<const isa::Program*> sort_program(bool scalar);
 
@@ -175,7 +177,6 @@ class Processor {
                : 1;
   }
 
-  Result<const isa::Program*> GetProgram(SetOp op, bool scalar);
   /// Runs the loaded program: the one place RunSettings become
   /// sim::RunOptions (profile, trace_limit and trace_sink pick the core's
   /// run loop). Counts the invocation under `phase` and wraps the run in
@@ -201,10 +202,9 @@ class Processor {
   mem::Memory* result_ = nullptr;  // result region on the store port
   mem::Memory* sysmem_ = nullptr;  // system memory (108Mini)
 
-  /// Pre-built programs shared across cores (may be null); the lazy
-  /// per-instance map below serves processors created without one.
-  std::shared_ptr<const ProgramCache> shared_programs_;
-  std::map<std::pair<int, bool>, isa::Program> program_cache_;
+  /// Every kernel program, built before the processor (never null; a
+  /// board's cores share one cache).
+  std::shared_ptr<const ProgramCache> programs_;
 };
 
 }  // namespace dba

@@ -9,8 +9,8 @@ namespace dba {
 
 namespace {
 
-// Shares the key space of Processor's lazy per-instance cache: set
-// operations key on their SopMode value, merge-sort on a sentinel.
+// Set operations (and the merge pair) key on their SopMode value,
+// merge-sort on a sentinel outside it.
 constexpr int kSortKey = 99;
 
 }  // namespace
@@ -46,7 +46,8 @@ Result<std::shared_ptr<const ProgramCache>> ProgramCache::Build(
   static obs::Counter* const builds =
       obs::MetricsRegistry::Global().GetCounter(
           "dba_core_program_builds_total",
-          "Kernel programs assembled (lazy per-processor builds).");
+          "Kernel programs assembled into program caches (ten per "
+          "cache).");
   builds->Increment(cache->programs_.size());
   return std::shared_ptr<const ProgramCache>(std::move(cache));
 }

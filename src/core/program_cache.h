@@ -14,11 +14,12 @@ namespace dba {
 struct ProcessorOptions;
 
 /// All kernel programs a processor configuration can execute, built once
-/// and shared read-only. A board of N identical cores hands the same
-/// cache to every core instead of letting each Processor assemble its
-/// own copies on first use -- the assembly output depends only on the
-/// kernel options (partial loading, unroll), not on which core runs it,
-/// and an immutable cache is safe to read from concurrent host threads.
+/// and shared read-only; every Processor reads its kernels from one. A
+/// standalone processor builds its own, and a board of N identical cores
+/// hands the same cache to every core -- the assembly output depends
+/// only on the kernel options (partial loading, unroll), not on which
+/// core runs it, and an immutable cache is safe to read from concurrent
+/// host threads.
 ///
 /// Contents: scalar and EIS variants of the three set operations, the
 /// merge-pair kernel, and merge-sort (ten programs total).

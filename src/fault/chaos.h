@@ -90,9 +90,6 @@ class ChaosSchedule {
   /// Index of the phase covering step `step` (0-based); steps past the
   /// end clamp to the last phase (its plan simply stays in force).
   size_t PhaseIndexForStep(uint64_t step) const;
-  const ChaosPhase& PhaseForStep(uint64_t step) const {
-    return phases_[PhaseIndexForStep(step)];
-  }
 
  private:
   ChaosSchedule() = default;

@@ -71,9 +71,6 @@ class QueryEngine {
 
   /// Builds (or rebuilds) the secondary index for `column`.
   Status BuildIndex(const std::string& column);
-  bool HasIndex(const std::string& column) const {
-    return indexes_.count(column) != 0;
-  }
 
   /// Evaluates the WHERE clause: the sorted RID set of qualifying rows.
   /// Every column referenced by `predicate` must have an index. Indexes

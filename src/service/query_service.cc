@@ -111,6 +111,15 @@ void CollectColumns(const query::Predicate& predicate,
   for (const auto& child : predicate.children) CollectColumns(*child, out);
 }
 
+/// The planner policy of degraded predicate routing: every RID-set
+/// intersection takes host galloping, and no partition index is built.
+query::PlannerOptions DegradedPlannerOptions() {
+  query::PlannerOptions options;
+  options.force_route = query::Route::kGalloping;
+  options.allow_partition_index = false;
+  return options;
+}
+
 }  // namespace
 
 Status ServiceConfig::Validate() const {
@@ -197,10 +206,7 @@ Status QueryService::RegisterTable(std::unique_ptr<query::Table> table) {
   entry.engine->SetMaxAttempts(config_.max_attempts);
   if (fault_hook_) entry.engine->SetAttemptFaultHook(fault_hook_);
   if (degraded_routing_) {
-    query::PlannerOptions options;
-    options.force_route = query::Route::kGalloping;
-    options.allow_partition_index = false;
-    entry.engine->EnableAdaptivePlanner(options);
+    entry.engine->EnableAdaptivePlanner(DegradedPlannerOptions());
   }
   for (const std::string& column : entry.table->ColumnNames()) {
     DBA_RETURN_IF_ERROR(entry.engine->BuildIndex(column));
@@ -384,10 +390,7 @@ void QueryService::SetDegradedRouting(bool degraded) {
     // and it is the caller here).
     std::unique_lock<std::shared_mutex> table_lock(*entry.mu);
     if (degraded) {
-      query::PlannerOptions options;
-      options.force_route = query::Route::kGalloping;
-      options.allow_partition_index = false;
-      entry.engine->EnableAdaptivePlanner(options);
+      entry.engine->EnableAdaptivePlanner(DegradedPlannerOptions());
     } else {
       entry.engine->DisableAdaptivePlanner();
     }
@@ -465,11 +468,6 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       batches_.fetch_add(1, std::memory_order_relaxed) + 1;
   ins.batches->Increment();
   ins.batch_size->Observe(batch_size);
-  if (config_.trace_sink != nullptr) {
-    config_.trace_sink->BeginRegion(
-        start_ns, "service batch " + std::to_string(batch_ordinal) + " (" +
-                      std::to_string(batch_size) + " requests)");
-  }
 
   /// One distinct piece of work in the batch; identical requests
   /// (same predicate+table, or same direct op+inputs) share a Unique.
@@ -858,9 +856,6 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
     batch[i].promise.set_value(std::move(response));
   }
   MirrorBreaker(done_ns);
-  if (config_.trace_sink != nullptr) {
-    config_.trace_sink->EndRegion(done_ns);
-  }
 }
 
 }  // namespace dba::service

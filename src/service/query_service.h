@@ -23,7 +23,6 @@
 #include "service/resilience.h"
 #include "service/result_cache.h"
 #include "service/service_clock.h"
-#include "sim/trace_sink.h"
 #include "system/board.h"
 
 namespace dba::service {
@@ -73,9 +72,6 @@ struct ServiceConfig {
   /// Time source for the batch window and deadline shedding. Null uses
   /// a wall SystemClock; tests inject a VirtualClock (non-owning).
   ServiceClock* clock = nullptr;
-  /// Batch-level trace regions (non-owning; may be null). Timestamps
-  /// are the service clock's nanoseconds.
-  sim::CycleTraceSink* trace_sink = nullptr;
 
   Status Validate() const;
 };

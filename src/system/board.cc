@@ -13,12 +13,14 @@ namespace dba::system {
 
 namespace {
 
-// All board counters mirror RecoveryTelemetry increments from the
-// single-threaded deterministic reduce in ExecutePartitioned, so after a
-// run on a fresh registry the registry totals equal the run's telemetry
-// exactly, at any host_threads.  Only the NoC fault counters are bumped
-// from worker threads (RunAttempt); their totals are still deterministic
-// because fault decisions are pure functions of the work item.
+// The recovery counters are booked once per op from its RecoveryTelemetry
+// (BookRecovery), so the registry totals equal the sum of the ops'
+// telemetry, failed ops included, at any host_threads.  The NoC feed
+// bytes, the partition-cycles histogram and quarantines are recorded
+// where they happen in the single-threaded deterministic reduce; only
+// the NoC fault counters are bumped from worker threads (RunAttempt), and
+// their totals are still deterministic because fault decisions are pure
+// functions of the work item.
 struct BoardInstruments {
   obs::Counter* ops;
   obs::Counter* op_failures;
@@ -94,9 +96,20 @@ const BoardInstruments& Instruments() {
   return instruments;
 }
 
-}  // namespace
-
-namespace {
+/// Adds one op's recovery telemetry to the dba_system_* counters, plus
+/// one op failure when the op failed: the one place they are booked.
+void BookRecovery(const RecoveryTelemetry& recovery, bool failed) {
+  const BoardInstruments& instruments = Instruments();
+  instruments.rounds->Increment(recovery.rounds);
+  instruments.faults_injected->Increment(recovery.faults_injected);
+  instruments.verification_failures->Increment(
+      recovery.verification_failures);
+  instruments.failed_attempts->Increment(recovery.failed_attempts);
+  instruments.retries->Increment(recovery.retries);
+  instruments.requeues->Increment(recovery.requeues);
+  instruments.recovery_cycles->Increment(recovery.recovery_cycles);
+  if (failed) instruments.op_failures->Increment();
+}
 
 /// Value splitters that cut `reference` into `parts` roughly equal
 /// ranges. Returned splitters are strictly increasing upper bounds; the
@@ -132,24 +145,6 @@ std::vector<std::span<const uint32_t>> PartitionSorted(
   }
   ranges.push_back(values.subspan(begin));
   return ranges;
-}
-
-/// The runner of every set-operation partition (a value range or a
-/// batch item): one core runs `part.op` over its share. Writes pure
-/// compute cycles; NoC feed is reduced after the join (it depends on how
-/// many cores stream concurrently). A template only because the
-/// partition type, Board::PartitionWork, is private.
-template <typename Partition>
-Status RunSetPartition(Processor& core, const Partition& part,
-                       const RunSettings& settings,
-                       std::vector<uint32_t>* result,
-                       uint64_t* compute_cycles) {
-  DBA_ASSIGN_OR_RETURN(prefetch::AnySizeRun run,
-                       prefetch::RunSetOperationAnySize(
-                           &core, part.op, part.a, part.b, settings));
-  *compute_cycles = run.cycles;
-  *result = std::move(run.result);
-  return Status::Ok();
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -213,8 +208,8 @@ Result<std::unique_ptr<Board>> Board::Create(const BoardConfig& config) {
                          : config.host_threads;
   // More host threads than cores cannot help: one task per core.
   host_threads = std::min(host_threads, config.num_cores);
-  std::unique_ptr<Board> board(new Board(
-      config, std::move(cores), std::move(programs), host_threads));
+  std::unique_ptr<Board> board(
+      new Board(config, std::move(cores), host_threads));
   if (config.fault_plan.enabled()) {
     board->injector_ =
         std::make_unique<fault::FaultInjector>(config.fault_plan);
@@ -227,12 +222,10 @@ Result<std::unique_ptr<Board>> Board::Create(const BoardConfig& config) {
 }
 
 Board::Board(BoardConfig config,
-             std::vector<std::unique_ptr<Processor>> cores,
-             std::shared_ptr<const ProgramCache> programs, int host_threads)
+             std::vector<std::unique_ptr<Processor>> cores, int host_threads)
     : config_(std::move(config)),
       noc_(config_.noc),
       cores_(std::move(cores)),
-      programs_(std::move(programs)),
       host_threads_(host_threads),
       core_failures_(cores_.size(), 0),
       quarantined_(cores_.size(), false) {
@@ -285,79 +278,60 @@ void Board::ResetQuarantine() {
   quarantined_list_.clear();
 }
 
-namespace {
-
-/// Inputs to output verification (kept free of Board's private types so
-/// the checker can live in this anonymous namespace).
-struct VerifyView {
-  std::span<const uint32_t> result;
-  size_t a_size = 0;
-  size_t b_size = 0;
-  uint32_t lo = 0;
-  uint32_t hi = 0xFFFFFFFFu;
-  bool is_sort = false;
-  SetOp op = SetOp::kIntersect;
-};
-
-/// Output verification of one partition attempt: the result must be
-/// monotone (strictly increasing for set operations, non-decreasing for
-/// sort), stay inside the partition's value range, and respect the
-/// size bounds the operation implies. This is the second detection
-/// layer of docs/FAULTS.md; anything it cannot see is caught by the
-/// parity backstop in RunAttempt.
-Status VerifyPartitionResult(const VerifyView& view) {
-  if (view.is_sort) {
-    if (view.result.size() != view.a_size) {
+Status Board::VerifyPartitionResult(const PartitionWork& part,
+                                    std::span<const uint32_t> result) {
+  if (part.sort) {
+    if (result.size() != part.a.size()) {
       return Status::DataLoss(
           "partition verification: sort result has " +
-          std::to_string(view.result.size()) + " values, bucket had " +
-          std::to_string(view.a_size));
+          std::to_string(result.size()) + " values, bucket had " +
+          std::to_string(part.a.size()));
     }
   } else {
     size_t max_size = 0;
-    switch (view.op) {
+    switch (part.op) {
       case SetOp::kIntersect:
-        max_size = std::min(view.a_size, view.b_size);
+        max_size = std::min(part.a.size(), part.b.size());
         break;
       case SetOp::kUnion:
-        max_size = view.a_size + view.b_size;
+        max_size = part.a.size() + part.b.size();
         break;
       case SetOp::kDifference:
-        max_size = view.a_size;
+        max_size = part.a.size();
         break;
       default:
-        max_size = view.a_size + view.b_size;
+        max_size = part.a.size() + part.b.size();
         break;
     }
-    if (view.result.size() > max_size) {
+    if (result.size() > max_size) {
       return Status::DataLoss(
           "partition verification: result size " +
-          std::to_string(view.result.size()) + " exceeds the bound " +
+          std::to_string(result.size()) + " exceeds the bound " +
           std::to_string(max_size));
     }
     // A merge keeps every element of both inputs (duplicates included):
     // the size is exact, and only non-decreasing order can be required.
-    if (view.op == SetOp::kMerge &&
-        view.result.size() != view.a_size + view.b_size) {
+    if (part.op == SetOp::kMerge &&
+        result.size() != part.a.size() + part.b.size()) {
       return Status::DataLoss(
           "partition verification: merge result has " +
-          std::to_string(view.result.size()) + " values, inputs had " +
-          std::to_string(view.a_size + view.b_size));
+          std::to_string(result.size()) + " values, inputs had " +
+          std::to_string(part.a.size() + part.b.size()));
     }
   }
-  const bool non_decreasing = view.is_sort || view.op == SetOp::kMerge;
-  for (size_t i = 0; i < view.result.size(); ++i) {
-    const uint32_t value = view.result[i];
-    if (value < view.lo || value > view.hi) {
+  const bool non_decreasing = part.sort || part.op == SetOp::kMerge;
+  for (size_t i = 0; i < result.size(); ++i) {
+    const uint32_t value = result[i];
+    if (value < part.lo || value > part.hi) {
       return Status::DataLoss(
           "partition verification: value " + std::to_string(value) +
           " at index " + std::to_string(i) +
-          " is outside the partition range [" + std::to_string(view.lo) +
-          ", " + std::to_string(view.hi) + "]");
+          " is outside the partition range [" + std::to_string(part.lo) +
+          ", " + std::to_string(part.hi) + "]");
     }
     if (i > 0) {
-      const bool bad = non_decreasing ? value < view.result[i - 1]
-                                      : value <= view.result[i - 1];
+      const bool bad = non_decreasing ? value < result[i - 1]
+                                      : value <= result[i - 1];
       if (bad) {
         return Status::DataLoss(
             "partition verification: result is not " +
@@ -369,13 +343,9 @@ Status VerifyPartitionResult(const VerifyView& view) {
   return Status::Ok();
 }
 
-}  // namespace
-
 Board::AttemptOutcome Board::RunAttempt(int core_index,
                                         const PartitionWork& part,
-                                        bool is_sort,
-                                        const fault::AttemptSite& site,
-                                        const PartitionRunner& runner) {
+                                        const fault::AttemptSite& site) {
   AttemptOutcome out;
   Processor& core = *cores_[static_cast<size_t>(core_index)];
   fault::FaultDecision decision;
@@ -423,7 +393,8 @@ Board::AttemptOutcome Board::RunAttempt(int core_index,
   // Input flip: corrupt the staged copy of one input word, leaving the
   // host's original intact (the flip is local to this attempt's
   // local-store image).
-  PartitionWork attempt_part = part;
+  std::span<const uint32_t> a = part.a;
+  std::span<const uint32_t> b = part.b;
   std::vector<uint32_t> corrupt_copy;
   bool corrupted = false;
   if (decision.flip_input) {
@@ -434,18 +405,39 @@ Board::AttemptOutcome Board::RunAttempt(int core_index,
       if (target < part.a.size()) {
         corrupt_copy.assign(part.a.begin(), part.a.end());
         corrupt_copy[target] ^= 1u << decision.flip_bit;
-        attempt_part.a = corrupt_copy;
+        a = corrupt_copy;
       } else {
         corrupt_copy.assign(part.b.begin(), part.b.end());
         corrupt_copy[target - part.a.size()] ^= 1u << decision.flip_bit;
-        attempt_part.b = corrupt_copy;
+        b = corrupt_copy;
       }
       corrupted = true;
     }
   }
 
-  const Status run_status =
-      runner(core, attempt_part, settings, &out.result, &out.compute_cycles);
+  // The partition's own work on the attempt's (possibly flipped) inputs:
+  // a bucket through the one external sort, a set-operation share
+  // through the one fit-or-stream path.
+  Status run_status;
+  if (part.sort) {
+    Result<prefetch::AnySizeSortRun> run =
+        prefetch::SortAnySize(&core, a, settings);
+    if (run.ok()) {
+      out.compute_cycles = run->cycles;
+      out.result = std::move(run->sorted);
+    } else {
+      run_status = run.status();
+    }
+  } else {
+    Result<prefetch::AnySizeRun> run =
+        prefetch::RunSetOperationAnySize(&core, part.op, a, b, settings);
+    if (run.ok()) {
+      out.compute_cycles = run->cycles;
+      out.result = std::move(run->result);
+    } else {
+      run_status = run.status();
+    }
+  }
   if (!run_status.ok()) {
     // Detection layer 1 rejecting a fault-flipped input image is data
     // corruption, not a caller error: type it kDataLoss so the
@@ -466,16 +458,8 @@ Board::AttemptOutcome Board::RunAttempt(int core_index,
     corrupted = true;
   }
 
-  if (injector_ != nullptr && config_.recovery.verify_partitions) {
-    VerifyView view;
-    view.result = out.result;
-    view.a_size = part.a.size();
-    view.b_size = part.b.size();
-    view.lo = part.lo;
-    view.hi = part.hi;
-    view.is_sort = is_sort;
-    view.op = part.op;
-    const Status verify = VerifyPartitionResult(view);
+  if (injector_ != nullptr) {
+    const Status verify = VerifyPartitionResult(part, out.result);
     if (!verify.ok()) {
       out.verification_failed = true;
       out.status = verify;
@@ -498,8 +482,7 @@ Board::AttemptOutcome Board::RunAttempt(int core_index,
 }
 
 Result<ParallelRun> Board::ExecutePartitioned(
-    std::vector<PartitionWork> parts, bool is_sort, uint64_t elements,
-    const PartitionRunner& runner,
+    std::vector<PartitionWork> parts, uint64_t elements,
     std::vector<std::vector<uint32_t>>* item_results,
     uint64_t deadline_cycles) {
   const auto host_start = std::chrono::steady_clock::now();
@@ -557,14 +540,12 @@ Result<ParallelRun> Board::ExecutePartitioned(
     } else {
       pending.emplace_back(i, healthy[spill++ % healthy.size()]);
       ++run.recovery.requeues;
-      instruments.requeues->Increment();
     }
   }
 
-  uint64_t trace_cursor = 0;
+  Status failure;  // the op's error once a round ends it
   while (!pending.empty()) {
     ++run.recovery.rounds;
-    instruments.rounds->Increment();
     const int streams = static_cast<int>(pending.size());
 
     // Fan this round out with one host task per core (a core is never
@@ -587,37 +568,21 @@ Result<ParallelRun> Board::ExecutePartitioned(
         site.partition = static_cast<uint32_t>(p);
         site.core = static_cast<uint32_t>(c);
         site.attempt = slots[p].attempts;
-        outcomes[p] = RunAttempt(c, parts[p], is_sort, site, runner);
+        outcomes[p] = RunAttempt(c, parts[p], site);
       }
     });
 
     // Deterministic reduce in partition order: telemetry, cycle
     // accounting, and the retry set must not depend on which host
     // thread finished first.
-    const uint64_t round_start = trace_cursor;
-    uint64_t attempt_cursor = round_start;
-    const bool tracing = trace_sink_ != nullptr && injector_ != nullptr;
-    if (tracing) {
-      trace_sink_->BeginRegion(round_start,
-                               "recovery round " +
-                                   std::to_string(run.recovery.rounds) +
-                                   " (" + std::to_string(streams) +
-                                   " partitions)");
-    }
     std::vector<uint64_t> added(static_cast<size_t>(cores_n), 0);
     std::vector<std::pair<size_t, int>> failed;
     for (const auto& [p, c] : pending) {
       AttemptOutcome& out = outcomes[p];
       const uint32_t attempt = slots[p].attempts;
       ++slots[p].attempts;
-      if (out.fault_injected) {
-        ++run.recovery.faults_injected;
-        instruments.faults_injected->Increment();
-      }
-      if (out.verification_failed) {
-        ++run.recovery.verification_failures;
-        instruments.verification_failures->Increment();
-      }
+      if (out.fault_injected) ++run.recovery.faults_injected;
+      if (out.verification_failed) ++run.recovery.verification_failures;
       uint64_t cost = 0;
       if (out.status.ok()) {
         const uint64_t feed_cycles = noc_.TransferCycles(
@@ -642,23 +607,10 @@ Result<ParallelRun> Board::ExecutePartitioned(
         slots[p].result = std::move(out.result);
       } else {
         ++run.recovery.failed_attempts;
-        instruments.failed_attempts->Increment();
         run.recovery.recovery_cycles += cost;
-        instruments.recovery_cycles->Increment(cost);
         ++core_failures_[static_cast<size_t>(c)];
         slots[p].last_status = out.status;
         failed.emplace_back(p, c);
-        if (tracing) {
-          std::string name = "p";
-          name += std::to_string(p);
-          name += "@core";
-          name += std::to_string(c);
-          name += ": ";
-          name += StatusCodeToString(out.status.code());
-          trace_sink_->BeginRegion(attempt_cursor, name);
-          attempt_cursor += cost;
-          trace_sink_->EndRegion(attempt_cursor);
-        }
       }
     }
     uint64_t round_max = 0;
@@ -668,7 +620,6 @@ Result<ParallelRun> Board::ExecutePartitioned(
       round_max = std::max(round_max, added[static_cast<size_t>(c)]);
     }
     run.makespan_cycles += round_max;
-    trace_cursor = std::max(round_start + round_max, attempt_cursor);
 
     // Quarantine repeat offenders. The bench persists across
     // operations: a part that keeps failing stays benched until
@@ -679,16 +630,6 @@ Result<ParallelRun> Board::ExecutePartitioned(
               config_.recovery.quarantine_after) {
         Quarantine(c);
       }
-    }
-    if (tracing) {
-      trace_sink_->EndRegion(trace_cursor);
-      trace_sink_->Counter(trace_cursor, "board/failed_attempts",
-                           run.recovery.failed_attempts);
-      trace_sink_->Counter(trace_cursor, "board/retries",
-                           run.recovery.retries);
-      trace_sink_->Counter(
-          trace_cursor, "board/healthy_cores",
-          static_cast<double>(cores_.size() - quarantined_list_.size()));
     }
 
     pending.clear();
@@ -702,53 +643,53 @@ Result<ParallelRun> Board::ExecutePartitioned(
     // runs when retries are pending.)
     if (deadline_cycles > 0 && run.makespan_cycles >= deadline_cycles) {
       const size_t p = failed.front().first;
-      instruments.op_failures->Increment();
       obs::EventLog::Global().Log(
           obs::EventLevel::kWarn, "board",
           "recovery deadline budget exhausted",
           {{"rounds", std::to_string(run.recovery.rounds)},
            {"budget_cycles", std::to_string(deadline_cycles)},
            {"partition", std::to_string(p)}});
-      return Status::DeadlineExceeded(
+      failure = Status::DeadlineExceeded(
           "recovery deadline budget (" + std::to_string(deadline_cycles) +
           " cycles) exhausted after " +
           std::to_string(run.recovery.rounds) + " rounds; partition " +
           std::to_string(p) +
           " last error: " + slots[p].last_status.message());
+      break;
     }
 
     // A partition out of attempts fails the operation with its last
     // error (first such partition in partition order -- deterministic).
-    for (const auto& [p, c] : failed) {
-      (void)c;
-      if (slots[p].attempts >=
-          static_cast<uint32_t>(config_.recovery.max_attempts)) {
-        std::string context = "partition ";
-        context += std::to_string(p);
-        context += " failed after ";
-        context += std::to_string(slots[p].attempts);
-        context += " attempts";
-        instruments.op_failures->Increment();
-        obs::EventLog::Global().Log(
-            obs::EventLevel::kError, "board", "operation failed",
-            {{"partition", std::to_string(p)},
-             {"attempts", std::to_string(slots[p].attempts)},
-             {"status", std::string(StatusCodeToString(
-                            slots[p].last_status.code()))}});
-        return Annotate(slots[p].last_status, context);
-      }
+    const auto exhausted =
+        std::find_if(failed.begin(), failed.end(), [&](const auto& entry) {
+          return slots[entry.first].attempts >=
+                 static_cast<uint32_t>(config_.recovery.max_attempts);
+        });
+    if (exhausted != failed.end()) {
+      const size_t p = exhausted->first;
+      obs::EventLog::Global().Log(
+          obs::EventLevel::kError, "board", "operation failed",
+          {{"partition", std::to_string(p)},
+           {"attempts", std::to_string(slots[p].attempts)},
+           {"status", std::string(StatusCodeToString(
+                          slots[p].last_status.code()))}});
+      failure = Annotate(slots[p].last_status,
+                         "partition " + std::to_string(p) + " failed after " +
+                             std::to_string(slots[p].attempts) + " attempts");
+      break;
     }
     refresh_healthy();
     if (healthy.empty()) {
       const size_t p = failed.front().first;
-      std::string context = "all cores quarantined while retrying partition ";
-      context += std::to_string(p);
-      instruments.op_failures->Increment();
       obs::EventLog::Global().Log(
           obs::EventLevel::kError, "board",
           "all cores quarantined mid-operation",
           {{"partition", std::to_string(p)}});
-      return Annotate(slots[p].last_status, context);
+      failure = Annotate(
+          slots[p].last_status,
+          "all cores quarantined while retrying partition " +
+              std::to_string(p));
+      break;
     }
     // Requeue failed partitions round-robin over the healthy cores,
     // most reliable first.
@@ -756,14 +697,13 @@ Result<ParallelRun> Board::ExecutePartitioned(
     for (const auto& [p, prev_core] : failed) {
       const int c = healthy[next++ % healthy.size()];
       ++run.recovery.retries;
-      instruments.retries->Increment();
-      if (c != prev_core) {
-        ++run.recovery.requeues;
-        instruments.requeues->Increment();
-      }
+      if (c != prev_core) ++run.recovery.requeues;
       pending.emplace_back(p, c);
     }
   }
+
+  BookRecovery(run.recovery, /*failed=*/!failure.ok());
+  if (!failure.ok()) return failure;
 
   run.recovery.degraded = !quarantined_list_.empty();
   run.recovery.quarantined_cores = quarantined_list_;
@@ -814,9 +754,7 @@ Result<ParallelRun> Board::RunSetOperation(SetOp op,
     part.op = op;
   }
 
-  return ExecutePartitioned(std::move(parts), /*is_sort=*/false,
-                            a.size() + b.size(),
-                            RunSetPartition<PartitionWork>);
+  return ExecutePartitioned(std::move(parts), a.size() + b.size());
 }
 
 Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
@@ -906,21 +844,9 @@ Result<ParallelRun> Board::RunSort(std::span<const uint32_t> values) {
     part.hi = i < splitters.size() ? splitters[i] : 0xFFFFFFFFu;
     part.feed_bytes = 4 * part.a.size();  // result out adds the rest
     part.active = !part.a.empty();
-    part.op = SetOp::kMerge;  // sort verification is non-decreasing
+    part.sort = true;
   }
-
-  const PartitionRunner runner =
-      [](Processor& core, const PartitionWork& part,
-         const RunSettings& settings, std::vector<uint32_t>* result,
-         uint64_t* compute_cycles) -> Status {
-    DBA_ASSIGN_OR_RETURN(prefetch::AnySizeSortRun run,
-                         prefetch::SortAnySize(&core, part.a, settings));
-    *compute_cycles = run.cycles;
-    *result = std::move(run.sorted);
-    return Status::Ok();
-  };
-  return ExecutePartitioned(std::move(parts), /*is_sort=*/true,
-                            values.size(), runner);
+  return ExecutePartitioned(std::move(parts), values.size());
 }
 
 Status Board::SetFaultPlan(const fault::FaultPlan& plan) {
@@ -989,8 +915,7 @@ Result<Board::BatchRun> Board::RunSetOperationBatch(
   }
 
   DBA_ASSIGN_OR_RETURN(
-      batch.run, ExecutePartitioned(std::move(parts), /*is_sort=*/false,
-                                    elements, RunSetPartition<PartitionWork>,
+      batch.run, ExecutePartitioned(std::move(parts), elements,
                                     &batch.results, options.deadline_cycles));
   return batch;
 }

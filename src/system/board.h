@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "core/processor.h"
 #include "fault/fault.h"
-#include "sim/trace_sink.h"
 #include "system/noc.h"
 
 namespace dba::system {
@@ -29,10 +28,6 @@ struct RecoveryPolicy {
   /// extra cycles -- the re-arbitration and re-transfer cost grows
   /// exponentially, discouraging hot retry loops.
   uint64_t backoff_base_cycles = 256;
-  /// Verify every partition result (monotonicity, value-range bounds,
-  /// size bounds) before accepting it. Only consulted when a fault plan
-  /// is active; the fault-free path never pays for verification.
-  bool verify_partitions = true;
 
   Status Validate() const;
 };
@@ -141,16 +136,6 @@ class Board {
   /// Direct access to core `i` (for borrowing an idle core as a sibling
   /// executor; the board and the caller must not run it concurrently).
   Processor* core(int i) { return cores_[static_cast<size_t>(i)].get(); }
-  /// The kernel programs shared by all cores of this board.
-  const std::shared_ptr<const ProgramCache>& programs() const {
-    return programs_;
-  }
-
-  /// Board-level trace receiver (non-owning; may be null): recovery
-  /// rounds, failed attempts, and quarantine/health counters are
-  /// emitted as regions and counter tracks. Render with
-  /// obs::ChromeTraceWriter for ui.perfetto.dev.
-  void set_trace_sink(sim::CycleTraceSink* sink) { trace_sink_ = sink; }
 
   /// Cores currently quarantined by the recovery policy (persists
   /// across operations: a benched part stays benched).
@@ -223,25 +208,20 @@ class Board {
   Status SetFaultPlan(const fault::FaultPlan& plan);
 
  private:
-  /// One partition of a board operation: the input span(s), the value
-  /// range it owns (for output verification), and its NoC feed bytes
-  /// excluding the result (which is only known after the attempt).
+  /// One partition of a board operation: what its core runs (a sort of
+  /// one bucket, or a set operation), the value range it owns (for
+  /// output verification), and its NoC feed bytes excluding the result
+  /// (which is only known after the attempt).
   struct PartitionWork {
     std::span<const uint32_t> a;  // set ops: left input; sort: bucket
     std::span<const uint32_t> b;  // set ops only
-    SetOp op = SetOp::kIntersect; // per-partition op (batches mix ops)
+    bool sort = false;            // sort `a` instead of running `op`
+    SetOp op = SetOp::kIntersect; // set ops: per-partition op (batches mix)
     uint32_t lo = 0;              // inclusive value-range lower bound
     uint32_t hi = 0xFFFFFFFFu;    // inclusive value-range upper bound
     uint64_t feed_bytes = 0;
     bool active = false;          // inactive partitions are empty
   };
-
-  /// Executes one partition attempt on one core: result + pure compute
-  /// cycles. NoC feed cycles are applied in the reduce step (they
-  /// depend on the number of concurrently streaming cores).
-  using PartitionRunner = std::function<Status(
-      Processor&, const PartitionWork&, const RunSettings&,
-      std::vector<uint32_t>*, uint64_t*)>;
 
   /// What one attempt produced, before the cross-core reduce.
   struct AttemptOutcome {
@@ -253,7 +233,7 @@ class Board {
   };
 
   Board(BoardConfig config, std::vector<std::unique_ptr<Processor>> cores,
-        std::shared_ptr<const ProgramCache> programs, int host_threads);
+        int host_threads);
 
   /// Runs fn(0..n-1): inline when serial, over the pool otherwise.
   void ForEachCore(size_t n, const std::function<void(size_t)>& fn);
@@ -263,18 +243,30 @@ class Board {
   /// The shared round-based scheduler behind RunSetOperation/RunSort/
   /// RunSetOperationBatch: fan out pending partitions, reduce
   /// deterministically in partition order, retry/requeue/quarantine,
-  /// repeat until done or exhausted. When `item_results` is non-null,
-  /// per-partition outputs are moved there (in partition order) instead
-  /// of concatenating into ParallelRun::result.
+  /// repeat until done or exhausted, then book the op's recovery
+  /// telemetry into the registry once, whether it succeeded or failed.
+  /// When `item_results` is non-null, per-partition outputs are moved
+  /// there (in partition order) instead of concatenating into
+  /// ParallelRun::result.
   Result<ParallelRun> ExecutePartitioned(
-      std::vector<PartitionWork> parts, bool is_sort, uint64_t elements,
-      const PartitionRunner& runner,
+      std::vector<PartitionWork> parts, uint64_t elements,
       std::vector<std::vector<uint32_t>>* item_results = nullptr,
       uint64_t deadline_cycles = 0);
 
+  /// Executes one partition attempt on one core: the result and pure
+  /// compute cycles. NoC feed cycles are applied in the reduce step
+  /// (they depend on the number of concurrently streaming cores).
   AttemptOutcome RunAttempt(int core_index, const PartitionWork& part,
-                            bool is_sort, const fault::AttemptSite& site,
-                            const PartitionRunner& runner);
+                            const fault::AttemptSite& site);
+
+  /// Output verification of one partition attempt (detection layer 2 of
+  /// docs/FAULTS.md): `result` must be monotone (strictly increasing for
+  /// set operations, non-decreasing for a sort or a merge), stay inside
+  /// the partition's value range, and respect the size bounds its
+  /// operation implies. What it cannot see is caught by the parity
+  /// backstop in RunAttempt.
+  static Status VerifyPartitionResult(const PartitionWork& part,
+                                      std::span<const uint32_t> result);
 
   void Quarantine(int core);
   bool IsQuarantined(int core) const {
@@ -284,7 +276,6 @@ class Board {
   BoardConfig config_;
   Noc noc_;
   std::vector<std::unique_ptr<Processor>> cores_;
-  std::shared_ptr<const ProgramCache> programs_;
   int host_threads_ = 1;
   std::unique_ptr<common::ThreadPool> pool_;
 
@@ -300,8 +291,6 @@ class Board {
   std::vector<int> core_failures_;
   std::vector<bool> quarantined_;
   std::vector<int> quarantined_list_;
-
-  sim::CycleTraceSink* trace_sink_ = nullptr;
 };
 
 }  // namespace dba::system

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/workload.h"
@@ -201,6 +202,25 @@ TEST(BoardFaultTest, TransientFaultsRecoverBitExact) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->result, clean->result);
   EXPECT_GT(run->recovery.faults_injected, 0u);
+}
+
+TEST(BoardFaultTest, VerifiedSortKeepsDuplicates) {
+  // With a fault plan active every partition result is verified. A sort
+  // bucket needs only to be non-decreasing, so duplicate values pass.
+  BoardConfig config = BaseConfig();
+  config.fault_plan.broken_cores = {3};
+  UseFastWatchdog(&config);
+  auto board = MakeBoard(config);
+  ASSERT_NE(board, nullptr);
+  std::vector<uint32_t> values = GenerateSortInput(20000, 5);
+  for (uint32_t& value : values) value %= 64;
+  std::vector<uint32_t> expected = values;
+  std::sort(expected.begin(), expected.end());
+  auto run = board->RunSort(values);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->result, expected);
+  EXPECT_EQ(run->recovery.verification_failures, 0u);
+  EXPECT_GT(run->recovery.failed_attempts, 0u);
 }
 
 TEST(BoardFaultTest, AllCoresBrokenFailsWithDeadlineExceeded) {

@@ -4,10 +4,13 @@
 // schema, ScopedSpan trace-sink integration, the structured event log,
 // and the end-to-end acceptance property -- a fault-injected board run
 // whose registry counters match RecoveryTelemetry exactly and whose
-// snapshot is byte-identical at any host thread count.
+// snapshot is byte-identical at any host thread count -- plus the exact
+// counters a failed board operation leaves at each failure exit.
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,6 +484,123 @@ TEST(MetricsBoardTest, RegistryMatchesRecoveryTelemetryAtAnyThreadCount) {
           << "metrics snapshot differs at host_threads=" << host_threads;
     }
   }
+}
+
+// --- Failed board operations: the counters each failure exit books ---
+
+using CounterDeltas = std::map<std::string, std::uint64_t>;
+
+// The dba_system_* counters that moved between two snapshots.
+CounterDeltas SystemCounterDeltas(const MetricsSnapshot& before,
+                                  const MetricsSnapshot& after) {
+  CounterDeltas deltas;
+  for (const auto& [name, value] : after.counters) {
+    if (name.rfind("dba_system_", 0) != 0) continue;
+    const auto it = before.counters.find(name);
+    const std::uint64_t base = it == before.counters.end() ? 0 : it->second;
+    if (value != base) deltas[name] = value - base;
+  }
+  return deltas;
+}
+
+// Runs `op` on a fresh board of `config` at host_threads 1 and 3: it must
+// fail with `code` and move exactly the `expected` dba_system_* counters
+// at both thread counts.
+void ExpectFailedOpDeltas(system::BoardConfig config,
+                          const std::function<Status(system::Board&)>& op,
+                          StatusCode code, const CounterDeltas& expected) {
+  for (const int host_threads : {1, 3}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(host_threads));
+    config.host_threads = host_threads;
+    auto board = system::Board::Create(config);
+    ASSERT_TRUE(board.ok()) << board.status();
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    const Status status = op(**board);
+    const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(status.code(), code) << status;
+    EXPECT_EQ(SystemCounterDeltas(before, after), expected);
+  }
+}
+
+TEST(MetricsBoardTest, EveryCoreQuarantinedExitBooksItsRounds) {
+  // Every core hangs: two rounds fail both partitions, the second
+  // quarantines both cores, and the op fails with the hang's status.
+  auto pair = GenerateSetPair(2000, 2000, 0.5, 42);
+  ASSERT_TRUE(pair.ok());
+  system::BoardConfig config;
+  config.num_cores = 2;
+  config.fault_plan.broken_cores = {0, 1};
+  config.fault_plan.hang_watchdog_cycles = 2000;
+  ExpectFailedOpDeltas(
+      config,
+      [&](system::Board& board) {
+        return board.RunSetOperation(SetOp::kIntersect, pair->a, pair->b)
+            .status();
+      },
+      StatusCode::kDeadlineExceeded,
+      {{"dba_system_board_ops_total", 1},
+       {"dba_system_board_op_failures_total", 1},
+       {"dba_system_recovery_rounds_total", 2},
+       {"dba_system_faults_injected_total", 4},
+       {"dba_system_failed_attempts_total", 4},
+       {"dba_system_retries_total", 2},
+       {"dba_system_recovery_cycles_total", 8512},
+       {"dba_system_quarantines_total", 2}});
+}
+
+TEST(MetricsBoardTest, OutOfAttemptsExitBooksItsRounds) {
+  // Transient faults with one attempt per partition: the first failed
+  // partition fails the op after a single round.
+  auto pair = GenerateSetPair(60000, 60000, 0.5, 20140622);
+  ASSERT_TRUE(pair.ok());
+  system::BoardConfig config = AcceptanceConfig(1);
+  config.fault_plan.broken_cores.clear();
+  config.recovery.max_attempts = 1;
+  ExpectFailedOpDeltas(
+      config,
+      [&](system::Board& board) {
+        return board.RunSetOperation(SetOp::kIntersect, pair->a, pair->b)
+            .status();
+      },
+      StatusCode::kDataLoss,
+      {{"dba_system_board_ops_total", 1},
+       {"dba_system_board_op_failures_total", 1},
+       {"dba_system_recovery_rounds_total", 1},
+       {"dba_system_faults_injected_total", 3},
+       {"dba_system_failed_attempts_total", 3},
+       {"dba_system_recovery_cycles_total", 8818},
+       {"dba_system_noc_feed_bytes_total", 374160},
+       {"dba_system_noc_transfer_failures_total", 1}});
+}
+
+TEST(MetricsBoardTest, DeadlineExitBooksItsRounds) {
+  // Six batch items on four hung cores under a one-cycle budget: the
+  // first round fails every item and quarantines the two cores that ran
+  // two items, then the spent budget fails the op.
+  const std::vector<std::uint32_t> a = {1, 5, 9, 12};
+  const std::vector<std::uint32_t> b = {5, 9, 30};
+  const std::vector<system::Board::BatchItem> items(
+      6, system::Board::BatchItem{SetOp::kIntersect, a, b});
+  system::BoardConfig config;
+  config.num_cores = 4;
+  config.fault_plan.seed = 11;
+  config.fault_plan.broken_cores = {0, 1, 2, 3};
+  config.fault_plan.hang_watchdog_cycles = 2000;
+  system::Board::BatchOptions options;
+  options.deadline_cycles = 1;
+  ExpectFailedOpDeltas(
+      config,
+      [&](system::Board& board) {
+        return board.RunSetOperationBatch(items, options).status();
+      },
+      StatusCode::kDeadlineExceeded,
+      {{"dba_system_board_ops_total", 1},
+       {"dba_system_board_op_failures_total", 1},
+       {"dba_system_recovery_rounds_total", 1},
+       {"dba_system_faults_injected_total", 6},
+       {"dba_system_failed_attempts_total", 6},
+       {"dba_system_recovery_cycles_total", 12000},
+       {"dba_system_quarantines_total", 2}});
 }
 
 }  // namespace

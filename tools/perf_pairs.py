@@ -17,6 +17,20 @@ of `HostSpeedProbe::Run` in each binary (from `nm`): board_bulk scales
 its `qps` by that probe loop's speed, which follows its code address, so
 a probe that moved shows up next to the numbers it scaled. Every run's
 figures are written to --json when given.
+
+Last, each end-to-end metric gets a no-regression verdict, with its
+`bound` and `better` read from the change checkout's BENCHMARK.json:
+the change median's move against the parent median, and
+
+  worse beyond bound  the change median is worse by more than the bound;
+  unresolved          the parent's quartile spread (relative to its
+                      median) exceeds the bound, and not every change
+                      run beats every parent run;
+  within bound        otherwise;
+
+followed by `gain` when, over ten or more pairs, the change wins at
+least nine in ten and its median is better than the parent's by more
+than the parent's quartile spread.
 """
 
 import argparse
@@ -95,6 +109,38 @@ def wins(parent, change, better):
     return None
 
 
+def relative(value, base):
+    """(value - base) / |base|; 0 when both are 0, infinite otherwise."""
+    if base == 0:
+        return 0.0 if value == 0 else float("inf")
+    return (value - base) / abs(base)
+
+
+def verdict(parent, change, better, bound):
+    """The change median's relative move, the parent's relative quartile
+    spread and the verdict on one metric."""
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_median = statistics.median(change)
+    move = relative(c_median, p_median)
+    sign = 1 if better == "higher" else -1
+    spread = relative(p_median + (p_q3 - p_q1), p_median)
+    if better == "higher":
+        every_run_better = min(change) > max(parent)
+    else:
+        every_run_better = max(change) < min(parent)
+    if -sign * move > bound:
+        text = "worse beyond bound"
+    elif spread > bound and not every_run_better:
+        text = "unresolved"
+    else:
+        text = "within bound"
+    pairs = len(parent)
+    if (pairs >= 10 and 10 * wins(parent, change, better) >= 9 * pairs and
+            sign * (c_median - p_median) > p_q3 - p_q1):
+        text += ", gain"
+    return move, spread, text
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent checkout")
@@ -145,6 +191,21 @@ def main():
         attempted = sum(run["attempted"] for run in runs[side])
         print(f"{side}: failed {failed} of {attempted} attempted; "
               f"HostSpeedProbe::Run at {probe_address(sides[side])}")
+
+    with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    print(f"\n{'end-to-end metric':24s} {'better':7s} {'bound':>7s} "
+          f"{'move':>9s} {'spread':>9s}  verdict")
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in first["metrics"]:
+            continue
+        values = {side: [float(run["metrics"][name]) for run in runs[side]]
+                  for side in runs}
+        move, spread, text = verdict(values["parent"], values["change"],
+                                     metric["better"], metric["bound"])
+        print(f"{name:24s} {metric['better']:7s} {metric['bound']:7.1%} "
+              f"{move:+9.2%} {spread:9.2%}  {text}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seconds": args.seconds,
