@@ -89,16 +89,6 @@ const ServiceInstruments& Instruments() {
   return instruments;
 }
 
-/// Mirrors a ResultCache stats delta into the global instruments.
-void MirrorCacheDelta(const CacheStats& before, const CacheStats& after) {
-  const ServiceInstruments& ins = Instruments();
-  ins.cache_hits->Increment(after.hits - before.hits);
-  ins.cache_misses->Increment(after.misses - before.misses);
-  ins.cache_evictions->Increment(after.evictions - before.evictions);
-  ins.cache_invalidations->Increment(after.invalidations -
-                                     before.invalidations);
-}
-
 /// Distinct columns referenced by a predicate tree, in first-seen order.
 void CollectColumns(const query::Predicate& predicate,
                     std::vector<std::string>* out) {
@@ -109,6 +99,22 @@ void CollectColumns(const query::Predicate& predicate,
     return;
   }
   for (const auto& child : predicate.children) CollectColumns(*child, out);
+}
+
+/// The current version of every distinct column `predicate` reads, in
+/// first-seen order, or the first column's error. The caller holds the
+/// table's lock.
+Result<std::vector<ColumnVersion>> StampVersions(
+    const query::Table& table, const query::Predicate& predicate) {
+  std::vector<std::string> columns;
+  CollectColumns(predicate, &columns);
+  std::vector<ColumnVersion> versions;
+  versions.reserve(columns.size());
+  for (std::string& column : columns) {
+    DBA_ASSIGN_OR_RETURN(const uint64_t version, table.ColumnVersion(column));
+    versions.push_back(ColumnVersion{table.name(), std::move(column), version});
+  }
+  return versions;
 }
 
 /// The planner policy of degraded predicate routing: every RID-set
@@ -234,19 +240,18 @@ Status QueryService::UpdateColumn(const std::string& table,
     DBA_RETURN_IF_ERROR(entry->table->UpdateColumn(column, std::move(values)));
   }
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  const CacheStats before = cache_.stats();
   cache_.InvalidateColumn(table, column);
-  MirrorCacheDelta(before, cache_.stats());
+  ServiceCounters delta;
+  TakeCacheDeltaLocked(&delta);
+  std::lock_guard<std::mutex> lock(mu_);
+  BookLocked(delta);
   return Status::Ok();
 }
 
 std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
-  const ServiceInstruments& ins = Instruments();
   Job job;
   job.request = std::move(request);
   std::future<ServiceResponse> future = job.promise.get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  ins.submitted->Increment();
   int priority = job.request.priority;
   const auto boost = config_.tenant_priorities.find(job.request.tenant);
   if (boost != config_.tenant_priorities.end()) priority += boost->second;
@@ -256,61 +261,59 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
     policy = &policy_it->second;
     priority += SloPriorityBoost(policy->slo);
   }
+  Status refused;  // non-OK: the request is answered at once, unqueued
   {
     std::lock_guard<std::mutex> lock(mu_);
+    ServiceCounters delta;
+    delta.submitted = 1;
     if (stopping_) {
-      ServiceResponse response;
-      response.status = Status::Unavailable("service stopped");
-      job.promise.set_value(std::move(response));
-      return future;
-    }
-    job.enqueue_ns = clock_->NowNs();
-    if (policy != nullptr) {
-      // SLO class: requests without an explicit deadline inherit the
-      // class default, relative to the submit time.
-      if (job.request.deadline_ns == 0) {
-        const uint64_t slo_deadline = SloDefaultDeadlineNs(policy->slo);
-        if (slo_deadline != 0) {
-          job.request.deadline_ns = job.enqueue_ns + slo_deadline;
+      refused = Status::Unavailable("service stopped");
+    } else {
+      job.enqueue_ns = clock_->NowNs();
+      if (policy != nullptr) {
+        // SLO class: requests without an explicit deadline inherit the
+        // class default, relative to the submit time.
+        if (job.request.deadline_ns == 0) {
+          const uint64_t slo_deadline = SloDefaultDeadlineNs(policy->slo);
+          if (slo_deadline != 0) {
+            job.request.deadline_ns = job.enqueue_ns + slo_deadline;
+          }
+        }
+        if (policy->rate_per_sec > 0) {
+          auto bucket = buckets_.find(job.request.tenant);
+          if (bucket == buckets_.end()) {
+            bucket = buckets_
+                         .emplace(job.request.tenant,
+                                  TokenBucket(policy->rate_per_sec,
+                                              policy->burst))
+                         .first;
+          }
+          if (!bucket->second.TryAcquire(job.enqueue_ns)) {
+            delta.rate_limited = 1;
+            refused = Status::RateLimited("tenant '" + job.request.tenant +
+                                          "' exceeded its admission rate");
+          }
         }
       }
-      if (policy->rate_per_sec > 0) {
-        auto bucket = buckets_.find(job.request.tenant);
-        if (bucket == buckets_.end()) {
-          bucket = buckets_
-                       .emplace(job.request.tenant,
-                                TokenBucket(policy->rate_per_sec,
-                                            policy->burst))
-                       .first;
-        }
-        if (!bucket->second.TryAcquire(job.enqueue_ns)) {
-          rate_limited_.fetch_add(1, std::memory_order_relaxed);
-          ins.shed_reason[static_cast<size_t>(ShedReason::kRateLimited)]
-              ->Increment();
-          ServiceResponse response;
-          response.status = Status::RateLimited(
-              "tenant '" + job.request.tenant +
-              "' exceeded its admission rate");
-          job.promise.set_value(std::move(response));
-          return future;
+      if (refused.ok()) {
+        // Push leaves the job untouched on overflow: shed explicitly.
+        refused = queue_.Push(priority, std::move(job));
+        if (refused.ok()) {
+          Instruments().queue_depth->Set(static_cast<double>(queue_.size()));
+        } else {
+          delta.rejected = 1;
         }
       }
     }
-    const Status admitted = queue_.Push(priority, std::move(job));
-    if (!admitted.ok()) {
-      // Push leaves the job untouched on overflow: shed explicitly.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      ins.rejected->Increment();
-      ins.shed_reason[static_cast<size_t>(ShedReason::kQueueFull)]
-          ->Increment();
-      ServiceResponse response;
-      response.status = admitted;
-      job.promise.set_value(std::move(response));
-      return future;
-    }
-    ins.queue_depth->Set(static_cast<double>(queue_.size()));
+    BookLocked(delta);
   }
-  cv_.notify_all();
+  if (refused.ok()) {
+    cv_.notify_all();
+  } else {
+    ServiceResponse response;
+    response.status = std::move(refused);
+    job.promise.set_value(std::move(response));
+  }
   return future;
 }
 
@@ -343,26 +346,13 @@ size_t QueryService::queue_depth() const {
 }
 
 ServiceCounters QueryService::counters() const {
-  ServiceCounters out;
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.shed = shed_.load(std::memory_order_relaxed);
-  out.dispatched = dispatched_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.deduplicated = deduplicated_.load(std::memory_order_relaxed);
-  out.retries = retries_.load(std::memory_order_relaxed);
-  out.rate_limited = rate_limited_.load(std::memory_order_relaxed);
-  out.breaker_sheds = breaker_sheds_.load(std::memory_order_relaxed);
-  out.degraded = degraded_.load(std::memory_order_relaxed);
-  out.breaker_transitions =
-      breaker_transitions_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  const CacheStats& stats = cache_.stats();
-  out.cache_hits = stats.hits;
-  out.cache_misses = stats.misses;
-  out.cache_evictions = stats.evictions;
-  out.cache_invalidations = stats.invalidations;
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return tally_;
+}
+
+BreakerState QueryService::breaker_state() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breaker_state_;
 }
 
 std::vector<std::string> QueryService::CacheKeysMruToLru() const {
@@ -397,19 +387,52 @@ void QueryService::SetDegradedRouting(bool degraded) {
   }
 }
 
-void QueryService::MirrorBreaker(uint64_t now_ns) {
+void QueryService::BookLocked(const ServiceCounters& delta,
+                              std::optional<BreakerState> state) {
   const ServiceInstruments& ins = Instruments();
-  const BreakerState state = breaker_->StateAt(now_ns);
-  breaker_state_.store(static_cast<uint8_t>(state),
-                       std::memory_order_relaxed);
-  ins.breaker_state->Set(static_cast<double>(state));
-  const uint64_t transitions = breaker_->transitions();
-  if (transitions > mirrored_transitions_) {
-    const uint64_t delta = transitions - mirrored_transitions_;
-    mirrored_transitions_ = transitions;
-    breaker_transitions_.fetch_add(delta, std::memory_order_relaxed);
-    ins.breaker_transitions->Increment(delta);
+  const auto book = [](uint64_t& total, uint64_t add,
+                       std::initializer_list<obs::Counter*> counters) {
+    if (add == 0) return;
+    total += add;
+    for (obs::Counter* counter : counters) counter->Increment(add);
+  };
+  const auto shed = [&ins](ShedReason reason) {
+    return ins.shed_reason[static_cast<size_t>(reason)];
+  };
+  book(tally_.submitted, delta.submitted, {ins.submitted});
+  book(tally_.rejected, delta.rejected,
+       {ins.rejected, shed(ShedReason::kQueueFull)});
+  book(tally_.shed, delta.shed, {shed(ShedReason::kDeadline)});
+  book(tally_.dispatched, delta.dispatched, {ins.dispatched});
+  book(tally_.batches, delta.batches, {ins.batches});
+  book(tally_.deduplicated, delta.deduplicated, {ins.deduplicated});
+  book(tally_.cache_hits, delta.cache_hits, {ins.cache_hits});
+  book(tally_.cache_misses, delta.cache_misses, {ins.cache_misses});
+  book(tally_.cache_evictions, delta.cache_evictions, {ins.cache_evictions});
+  book(tally_.cache_invalidations, delta.cache_invalidations,
+       {ins.cache_invalidations});
+  book(tally_.retries, delta.retries, {ins.retries});
+  book(tally_.rate_limited, delta.rate_limited,
+       {shed(ShedReason::kRateLimited)});
+  book(tally_.breaker_sheds, delta.breaker_sheds,
+       {shed(ShedReason::kBreakerOpen)});
+  book(tally_.degraded, delta.degraded, {ins.degraded});
+  book(tally_.breaker_transitions, delta.breaker_transitions,
+       {ins.breaker_transitions});
+  if (state.has_value()) {
+    breaker_state_ = *state;
+    ins.breaker_state->Set(static_cast<double>(*state));
   }
+}
+
+void QueryService::TakeCacheDeltaLocked(ServiceCounters* delta) {
+  const CacheStats& now = cache_.stats();
+  delta->cache_hits += now.hits - cache_booked_.hits;
+  delta->cache_misses += now.misses - cache_booked_.misses;
+  delta->cache_evictions += now.evictions - cache_booked_.evictions;
+  delta->cache_invalidations +=
+      now.invalidations - cache_booked_.invalidations;
+  cache_booked_ = now;
 }
 
 uint64_t QueryService::OldestEnqueueNsLocked() const {
@@ -452,27 +475,31 @@ void QueryService::SchedulerLoop() {
     }
     Instruments().queue_depth->Set(static_cast<double>(queue_.size()));
     dispatching_ = true;
+    // Every earlier batch booked itself before this thread relocked mu_.
+    const uint64_t batch_ordinal = tally_.batches + 1;
     lock.unlock();
-    ExecuteBatch(std::move(batch));
+    ExecuteBatch(std::move(batch), batch_ordinal);
     lock.lock();
     dispatching_ = false;
     drain_cv_.notify_all();
   }
 }
 
-void QueryService::ExecuteBatch(std::vector<Job> batch) {
+void QueryService::ExecuteBatch(std::vector<Job> batch,
+                                uint64_t batch_ordinal) {
   const ServiceInstruments& ins = Instruments();
   const uint64_t start_ns = clock_->NowNs();
   const uint32_t batch_size = static_cast<uint32_t>(batch.size());
-  const uint64_t batch_ordinal =
-      batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ins.batches->Increment();
   ins.batch_size->Observe(batch_size);
+  // The batch's counters, booked once before its first response.
+  ServiceCounters delta;
+  delta.batches = 1;
 
   /// One distinct piece of work in the batch; identical requests
   /// (same predicate+table, or same direct op+inputs) share a Unique.
   struct Unique {
     size_t owner = 0;  // first batch index with this work
+    uint32_t riders = 0;  // batch requests this work answers
     bool is_predicate = false;
     std::string key;   // predicate cache key ("" for direct ops)
     bool ready = false;
@@ -492,11 +519,10 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     const ServiceRequest& request = batch[i].request;
     if (request.deadline_ns != 0 && start_ns > request.deadline_ns) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      ins.shed_reason[static_cast<size_t>(ShedReason::kDeadline)]
-          ->Increment();
+      ++delta.shed;
       continue;
     }
+    ++delta.dispatched;
     int found = -1;
     if (request.predicate != nullptr) {
       std::string key =
@@ -533,10 +559,9 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       }
     }
     unique_of[i] = found;
-    if (uniques[static_cast<size_t>(found)].owner != i) {
-      deduplicated_.fetch_add(1, std::memory_order_relaxed);
-      ins.deduplicated->Increment();
-    }
+    Unique& unique = uniques[static_cast<size_t>(found)];
+    ++unique.riders;
+    if (unique.owner != i) ++delta.deduplicated;
   }
 
   // Resolve predicate work against the table registry.
@@ -560,37 +585,23 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   // against concurrent UpdateColumn invalidation and inspection).
   for (Unique& unique : uniques) {
     if (!unique.is_predicate || unique.ready) continue;
-    const ServiceRequest& request = batch[unique.owner].request;
-    std::vector<std::string> columns;
-    CollectColumns(*request.predicate, &columns);
-    std::vector<ColumnVersion> current;
-    bool versions_ok = true;
-    {
+    const Result<std::vector<ColumnVersion>> current = [&] {
       std::shared_lock<std::shared_mutex> table_lock(*unique.entry->mu);
-      for (const std::string& column : columns) {
-        Result<uint64_t> version = unique.entry->table->ColumnVersion(column);
-        if (!version.ok()) {
-          versions_ok = false;  // execution reports the real error
-          break;
-        }
-        current.push_back(ColumnVersion{request.table, column, *version});
-      }
-    }
-    if (!versions_ok) continue;
+      return StampVersions(*unique.entry->table,
+                           *batch[unique.owner].request.predicate);
+    }();
+    if (!current.ok()) continue;  // execution reports the real error
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const CacheStats before = cache_.stats();
-    if (cache_.Lookup(unique.key, current, &unique.values)) {
+    if (cache_.Lookup(unique.key, *current, &unique.values)) {
       unique.cache_hit = true;
       unique.status = Status::Ok();
       unique.ready = true;
     }
-    MirrorCacheDelta(before, cache_.stats());
   }
 
   // Direct set operations: one multi-request board batch, governed by
   // the circuit breaker, a shared deadline budget, and the service's
   // deadline-aware retry policy.
-  uint64_t batch_retries = 0;
   std::vector<size_t> direct;
   for (size_t u = 0; u < uniques.size(); ++u) {
     if (!uniques[u].is_predicate && !uniques[u].ready) direct.push_back(u);
@@ -675,12 +686,12 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
             budget.NextDelayNs(start_ns + modeled_delay_ns);
         if (!delay.has_value()) break;
         modeled_delay_ns += *delay;
-        ++batch_retries;
+        ++delta.retries;
       }
     }
 
     if (run.ok()) {
-      batch_retries += run->run.recovery.retries;
+      delta.retries += run->run.recovery.retries;
       for (size_t k = 0; k < direct.size(); ++k) {
         Unique& unique = uniques[direct[k]];
         unique.values = std::move(run->results[k]);
@@ -712,19 +723,11 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       }
     } else if (!use_board) {
       // Breaker open, fallback disabled: a typed per-request shed.
-      uint32_t riders = 0;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (unique_of[i] < 0) continue;
-        const Unique& unique = uniques[static_cast<size_t>(unique_of[i])];
-        if (!unique.is_predicate && !unique.ready) ++riders;
-      }
-      breaker_sheds_.fetch_add(riders, std::memory_order_relaxed);
-      ins.shed_reason[static_cast<size_t>(ShedReason::kBreakerOpen)]
-          ->Increment(riders);
       for (const size_t u : direct) {
         uniques[u].status = Status::Unavailable(
             "circuit breaker open and host fallback disabled");
         uniques[u].ready = true;
+        delta.breaker_sheds += uniques[u].riders;
       }
     } else {
       for (const size_t u : direct) {
@@ -765,23 +768,14 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       // Stamp versions under the same shared lock that covers the
       // execution: UpdateColumn's unique lock cannot interleave, so
       // the stamps and the computed values are mutually consistent.
-      std::vector<std::string> columns;
-      CollectColumns(*request.predicate, &columns);
-      bool versions_ok = true;
-      for (const std::string& column : columns) {
-        Result<uint64_t> version = unique.entry->table->ColumnVersion(column);
-        if (!version.ok()) {
-          unique.status = version.status();
-          versions_ok = false;
-          break;
-        }
-        unique.versions.push_back(
-            ColumnVersion{request.table, column, *version});
-      }
-      if (!versions_ok) {
+      Result<std::vector<ColumnVersion>> versions =
+          StampVersions(*unique.entry->table, *request.predicate);
+      if (!versions.ok()) {
+        unique.status = versions.status();
         unique.ready = true;
         continue;
       }
+      unique.versions = *std::move(versions);
       query::QueryStats stats;
       Result<std::vector<query::Rid>> result =
           unique.entry->engine->Select(*request.predicate, &stats);
@@ -807,28 +801,37 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
     for (size_t gi = 0; gi < groups.size(); ++gi) run_group(gi);
   }
 
-  // Fresh predicate results enter the cache with their version stamps.
+  // Fresh predicate results enter the cache with their version stamps;
+  // the batch's cache traffic rides in its delta.
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const CacheStats before = cache_.stats();
     for (Unique& unique : uniques) {
       if (unique.is_predicate && unique.status.ok() && !unique.cache_hit) {
         cache_.Insert(unique.key, unique.values, unique.versions);
       }
     }
-    MirrorCacheDelta(before, cache_.stats());
+    TakeCacheDeltaLocked(&delta);
   }
 
   for (const Unique& unique : uniques) {
-    batch_retries += unique.retries;
+    delta.retries += unique.retries;
+    if (unique.degraded) delta.degraded += unique.riders;
   }
-  if (batch_retries > 0) {
-    retries_.fetch_add(batch_retries, std::memory_order_relaxed);
-    ins.retries->Increment(batch_retries);
+
+  // Book the batch before its first response goes out, so every counter
+  // of a batch is visible as soon as any of its responses is. The
+  // breaker changes only on this thread, so the transitions the tally
+  // lacks are exactly this batch's.
+  const uint64_t done_ns = clock_->NowNs();
+  const BreakerState breaker_state = breaker_->StateAt(done_ns);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    delta.breaker_transitions =
+        breaker_->transitions() - tally_.breaker_transitions;
+    BookLocked(delta, breaker_state);
   }
 
   // Fulfill every promise (shed requests included) exactly once.
-  const uint64_t done_ns = clock_->NowNs();
   for (size_t i = 0; i < batch.size(); ++i) {
     ServiceResponse response;
     response.batch_size = batch_size;
@@ -845,17 +848,10 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       response.retries = unique.retries;
       response.accelerator_cycles = unique.cycles;
       response.degraded = unique.degraded;
-      if (unique.degraded) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        ins.degraded->Increment();
-      }
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      ins.dispatched->Increment();
     }
     ins.latency_ns->Observe(done_ns - batch[i].enqueue_ns);
     batch[i].promise.set_value(std::move(response));
   }
-  MirrorBreaker(done_ns);
 }
 
 }  // namespace dba::service

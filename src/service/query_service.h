@@ -1,13 +1,13 @@
 #ifndef DBA_SERVICE_QUERY_SERVICE_H_
 #define DBA_SERVICE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -111,8 +111,10 @@ struct ServiceResponse {
   bool degraded = false;
 };
 
-/// Monotonic service counters (mirrored as dba_service_* instruments in
-/// the global obs::MetricsRegistry).
+/// Monotonic service counters. A QueryService keeps one tally of them
+/// and books every change to it together with the matching dba_service_*
+/// instruments of the global obs::MetricsRegistry, so the registry holds
+/// the sum of the services' tallies.
 struct ServiceCounters {
   uint64_t submitted = 0;
   uint64_t rejected = 0;    // admission overflow
@@ -181,12 +183,10 @@ class QueryService {
   ServiceCounters counters() const;
   std::vector<std::string> CacheKeysMruToLru() const;
   system::Board* board() { return config_.board; }
-  /// The circuit breaker's state as of the last dispatch batch (the
-  /// breaker itself is scheduler-thread-owned; this is a mirror).
-  BreakerState breaker_state() const {
-    return static_cast<BreakerState>(
-        breaker_state_.load(std::memory_order_relaxed));
-  }
+  /// The circuit breaker's state as of the last dispatch batch (booked
+  /// with the batch's counters; the breaker itself is
+  /// scheduler-thread-owned).
+  BreakerState breaker_state() const;
 
   /// Forwards a deterministic attempt-fault hook to every registered
   /// table's engine (and tables registered later). Call while idle.
@@ -210,21 +210,29 @@ class QueryService {
   explicit QueryService(const ServiceConfig& config);
 
   void SchedulerLoop();
-  void ExecuteBatch(std::vector<Job> batch);
+  /// Runs one dispatch batch; `batch_ordinal` (1-based) keys its retry
+  /// jitter.
+  void ExecuteBatch(std::vector<Job> batch, uint64_t batch_ordinal);
   uint64_t OldestEnqueueNsLocked() const;
   /// Toggles degraded predicate routing (force the planner's host
   /// intersect route on every registered engine) to match the breaker
   /// state. Scheduler thread (or RegisterTable) only; takes tables_mu_.
   void SetDegradedRouting(bool degraded);
-  /// Mirrors breaker state/transition deltas into the atomics and
-  /// global instruments after a dispatch batch (scheduler thread).
-  void MirrorBreaker(uint64_t now_ns);
+  /// Adds `delta` to the tally and to the dba_service_* instruments, and
+  /// records the breaker's `state` when a dispatch batch books: the one
+  /// place a counter is booked and a shed field meets its
+  /// dba_service_shed_total{reason} label. Caller holds mu_.
+  void BookLocked(const ServiceCounters& delta,
+                  std::optional<BreakerState> state = std::nullopt);
+  /// Moves the cache traffic since the last call into `delta`. Caller
+  /// holds cache_mu_.
+  void TakeCacheDeltaLocked(ServiceCounters* delta);
 
   ServiceConfig config_;
   std::unique_ptr<SystemClock> owned_clock_;  // when config_.clock == null
   ServiceClock* clock_ = nullptr;
 
-  mutable std::mutex mu_;           // queue + scheduler state
+  mutable std::mutex mu_;           // queue, scheduler state, tally
   std::condition_variable cv_;      // scheduler wakeups
   std::condition_variable drain_cv_;
   AdmissionQueue<Job> queue_;
@@ -234,6 +242,10 @@ class QueryService {
   /// Per-tenant token buckets (guarded by mu_; built lazily from
   /// tenant_policies on a tenant's first submission).
   std::map<std::string, TokenBucket> buckets_;
+  /// The service's one tally, and the breaker's state as of the last
+  /// batch (guarded by mu_; written only by BookLocked).
+  ServiceCounters tally_;
+  BreakerState breaker_state_ = BreakerState::kClosed;
 
   mutable std::shared_mutex tables_mu_;
   std::map<std::string, TableEntry> tables_;
@@ -241,27 +253,15 @@ class QueryService {
   fault::AttemptFaultHook fault_hook_;  // guarded by tables_mu_
   bool degraded_routing_ = false;       // guarded by tables_mu_
 
-  /// Board-health breaker (scheduler thread only; see breaker_state_
-  /// for the cross-thread mirror).
+  /// Board-health breaker (scheduler thread only; breaker_state_ holds
+  /// its booked state).
   std::unique_ptr<CircuitBreaker> breaker_;
-  uint64_t mirrored_transitions_ = 0;  // scheduler thread only
 
-  mutable std::mutex cache_mu_;
+  mutable std::mutex cache_mu_;  // taken before mu_ when both are held
   ResultCache cache_;
+  CacheStats cache_booked_;      // cache_.stats() at the last take
 
   uint64_t dispatch_seq_ = 0;  // scheduler thread only
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> dispatched_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> deduplicated_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> rate_limited_{0};
-  std::atomic<uint64_t> breaker_sheds_{0};
-  std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> breaker_transitions_{0};
-  std::atomic<uint8_t> breaker_state_{0};  // BreakerState mirror
 
   std::thread scheduler_;
 };

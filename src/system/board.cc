@@ -15,7 +15,8 @@ namespace {
 
 // The recovery counters are booked once per op from its RecoveryTelemetry
 // (BookRecovery), so the registry totals equal the sum of the ops'
-// telemetry, failed ops included, at any host_threads.  The NoC feed
+// telemetry, failed ops included, at any host_threads; the same booking
+// writes the core-health gauges at every exit.  The NoC feed
 // bytes, the partition-cycles histogram and quarantines are recorded
 // where they happen in the single-threaded deterministic reduce; only
 // the NoC fault counters are bumped from worker threads (RunAttempt), and
@@ -97,8 +98,11 @@ const BoardInstruments& Instruments() {
 }
 
 /// Adds one op's recovery telemetry to the dba_system_* counters, plus
-/// one op failure when the op failed: the one place they are booked.
-void BookRecovery(const RecoveryTelemetry& recovery, bool failed) {
+/// one op failure when the op failed, and writes the core-health gauges
+/// from the board's `cores` and `quarantined` count: the one place they
+/// are booked.
+void BookRecovery(const RecoveryTelemetry& recovery, bool failed,
+                  size_t cores, size_t quarantined) {
   const BoardInstruments& instruments = Instruments();
   instruments.rounds->Increment(recovery.rounds);
   instruments.faults_injected->Increment(recovery.faults_injected);
@@ -109,6 +113,8 @@ void BookRecovery(const RecoveryTelemetry& recovery, bool failed) {
   instruments.requeues->Increment(recovery.requeues);
   instruments.recovery_cycles->Increment(recovery.recovery_cycles);
   if (failed) instruments.op_failures->Increment();
+  instruments.healthy_cores->Set(static_cast<double>(cores - quarantined));
+  instruments.quarantined_cores->Set(static_cast<double>(quarantined));
 }
 
 /// Value splitters that cut `reference` into `parts` roughly equal
@@ -181,16 +187,7 @@ Result<std::unique_ptr<Board>> Board::Create(const BoardConfig& config) {
     return Status::InvalidArgument("host_threads must be in 0..1024");
   }
   DBA_RETURN_IF_ERROR(config.noc.Validate());
-  DBA_RETURN_IF_ERROR(config.fault_plan.Validate());
   DBA_RETURN_IF_ERROR(config.recovery.Validate());
-  for (const int core : config.fault_plan.broken_cores) {
-    if (core >= config.num_cores) {
-      return Status::InvalidArgument(
-          "FaultPlan::broken_cores lists core " + std::to_string(core) +
-          " but the board has " + std::to_string(config.num_cores) +
-          " cores");
-    }
-  }
   // The kernel programs are identical across cores: build them once and
   // let every Processor reference the shared immutable cache.
   DBA_ASSIGN_OR_RETURN(std::shared_ptr<const ProgramCache> programs,
@@ -210,14 +207,7 @@ Result<std::unique_ptr<Board>> Board::Create(const BoardConfig& config) {
   host_threads = std::min(host_threads, config.num_cores);
   std::unique_ptr<Board> board(
       new Board(config, std::move(cores), host_threads));
-  if (config.fault_plan.enabled()) {
-    board->injector_ =
-        std::make_unique<fault::FaultInjector>(config.fault_plan);
-    DBA_ASSIGN_OR_RETURN(isa::Program hang_loop,
-                         fault::BuildHangLoopProgram());
-    board->hang_program_ =
-        std::make_shared<const isa::Program>(std::move(hang_loop));
-  }
+  DBA_RETURN_IF_ERROR(board->SetFaultPlan(config.fault_plan));
   return board;
 }
 
@@ -515,35 +505,35 @@ Result<ParallelRun> Board::ExecutePartitioned(
              core_failures_[static_cast<size_t>(y)];
     });
   };
+  Status failure;  // the op's error once it cannot finish
+  std::vector<std::pair<size_t, int>> pending;  // (partition, core)
   refresh_healthy();
   if (healthy.empty()) {
-    return Status::Unavailable(
+    failure = Status::Unavailable(
         "all " + std::to_string(cores_n) +
         " cores are quarantined; call ResetQuarantine() after servicing");
+  } else {
+    // Round 0: partition i's home core is i mod num_cores (the identity
+    // for the value-partitioned paths, waves for batches with more items
+    // than cores). A benched home core spills the partition onto the
+    // healthy cores right away (graceful degradation: the board
+    // finishes on fewer cores).
+    size_t spill = 0;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (!parts[i].active) {
+        slots[i].done = true;
+        continue;
+      }
+      const int home = static_cast<int>(i % static_cast<size_t>(cores_n));
+      if (!IsQuarantined(home)) {
+        pending.emplace_back(i, home);
+      } else {
+        pending.emplace_back(i, healthy[spill++ % healthy.size()]);
+        ++run.recovery.requeues;
+      }
+    }
   }
 
-  // Round 0: partition i's home core is i mod num_cores (the identity
-  // for the value-partitioned paths, waves for batches with more items
-  // than cores). A benched home core spills the partition onto the
-  // healthy cores right away (graceful degradation: the board finishes
-  // on fewer cores).
-  std::vector<std::pair<size_t, int>> pending;  // (partition, core)
-  size_t spill = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].active) {
-      slots[i].done = true;
-      continue;
-    }
-    const int home = static_cast<int>(i % static_cast<size_t>(cores_n));
-    if (!IsQuarantined(home)) {
-      pending.emplace_back(i, home);
-    } else {
-      pending.emplace_back(i, healthy[spill++ % healthy.size()]);
-      ++run.recovery.requeues;
-    }
-  }
-
-  Status failure;  // the op's error once a round ends it
   while (!pending.empty()) {
     ++run.recovery.rounds;
     const int streams = static_cast<int>(pending.size());
@@ -702,16 +692,13 @@ Result<ParallelRun> Board::ExecutePartitioned(
     }
   }
 
-  BookRecovery(run.recovery, /*failed=*/!failure.ok());
+  BookRecovery(run.recovery, /*failed=*/!failure.ok(), cores_.size(),
+               quarantined_list_.size());
   if (!failure.ok()) return failure;
 
   run.recovery.degraded = !quarantined_list_.empty();
   run.recovery.quarantined_cores = quarantined_list_;
   instruments.op_makespan_cycles->Observe(run.makespan_cycles);
-  instruments.healthy_cores->Set(
-      static_cast<double>(cores_.size() - quarantined_list_.size()));
-  instruments.quarantined_cores->Set(
-      static_cast<double>(quarantined_list_.size()));
   if (item_results != nullptr) {
     // Batch mode: each partition is an independent request whose result
     // must come back separately, in submission order.

@@ -201,10 +201,10 @@ class Board {
   }
 
   /// Replaces the board's fault schedule in place (the chaos harness's
-  /// entry point: a ChaosSchedule phase is one FaultPlan). Validates
-  /// like Create; an empty plan restores the fault-free fast path. Call
-  /// only while no board operation is running -- the service guarantees
-  /// this between dispatch batches.
+  /// entry point: a ChaosSchedule phase is one FaultPlan; Create installs
+  /// BoardConfig::fault_plan through it). An empty plan restores the
+  /// fault-free fast path. Call only while no board operation is running
+  /// -- the service guarantees this between dispatch batches.
   Status SetFaultPlan(const fault::FaultPlan& plan);
 
  private:
@@ -244,7 +244,9 @@ class Board {
   /// RunSetOperationBatch: fan out pending partitions, reduce
   /// deterministically in partition order, retry/requeue/quarantine,
   /// repeat until done or exhausted, then book the op's recovery
-  /// telemetry into the registry once, whether it succeeded or failed.
+  /// telemetry and the core-health gauges into the registry once, at
+  /// every exit (every core quarantined before the first round
+  /// included).
   /// When `item_results` is non-null, per-partition outputs are moved
   /// there (in partition order) instead of concatenating into
   /// ParallelRun::result.

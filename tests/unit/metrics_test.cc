@@ -548,6 +548,42 @@ TEST(MetricsBoardTest, EveryCoreQuarantinedExitBooksItsRounds) {
        {"dba_system_quarantines_total", 2}});
 }
 
+TEST(MetricsBoardTest, QuarantinedBoardExitBooksAFailureAndTheGauges) {
+  // The first op benches both cores of the all-broken board above; the
+  // second finds no healthy core and fails before its first round. Each
+  // op books its exit, the health gauges included.
+  auto pair = GenerateSetPair(2000, 2000, 0.5, 42);
+  ASSERT_TRUE(pair.ok());
+  system::BoardConfig config;
+  config.num_cores = 2;
+  config.fault_plan.broken_cores = {0, 1};
+  config.fault_plan.hang_watchdog_cycles = 2000;
+  const auto expect_gauges = [] {
+    const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(snapshot.gauges.at("dba_system_healthy_cores"), 0.0);
+    EXPECT_EQ(snapshot.gauges.at("dba_system_quarantined_cores"), 2.0);
+  };
+  for (const int host_threads : {1, 3}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(host_threads));
+    config.host_threads = host_threads;
+    auto board = system::Board::Create(config);
+    ASSERT_TRUE(board.ok()) << board.status();
+    const auto run = [&] {
+      return (*board)->RunSetOperation(SetOp::kIntersect, pair->a, pair->b)
+          .status();
+    };
+    EXPECT_EQ(run().code(), StatusCode::kDeadlineExceeded);
+    expect_gauges();
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(run().code(), StatusCode::kUnavailable);
+    const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(SystemCounterDeltas(before, after),
+              (CounterDeltas{{"dba_system_board_ops_total", 1},
+                             {"dba_system_board_op_failures_total", 1}}));
+    expect_gauges();
+  }
+}
+
 TEST(MetricsBoardTest, OutOfAttemptsExitBooksItsRounds) {
   // Transient faults with one attempt per partition: the first failed
   // partition fails the op after a single round.

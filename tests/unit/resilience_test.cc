@@ -3,22 +3,27 @@
 // retry budgets, circuit-breaker transitions under explicit timestamps,
 // host-fallback bit-identity against the serial reference, the board's
 // recovery deadline budget, typed rate-limit sheds, breaker-open
-// shedding with fallback disabled, and ServiceConfig::Validate
-// rejections for every new knob.
+// shedding with fallback disabled, the dba_service_* registry against
+// the service's tally, and ServiceConfig::Validate rejections for every
+// new knob.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
+#include "obs/metrics/metrics.h"
 #include "prefetch/streaming.h"
 #include "query/engine.h"
 #include "query/predicate.h"
@@ -574,6 +579,145 @@ TEST(ServiceResilience, SloClassStampsDefaultDeadline) {
   service->Drain();
   EXPECT_EQ(future.get().status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service->counters().shed, 1u);
+}
+
+// --- Service counters against the registry --------------------------------
+
+// Each dba_service_* counter beside the ServiceCounters field it books.
+std::vector<std::pair<std::string, uint64_t>> RegistryView(
+    const ServiceCounters& c) {
+  return {
+      {"dba_service_submitted_total", c.submitted},
+      {"dba_service_rejected_total", c.rejected},
+      {"dba_service_shed_total{reason=\"queue_full\"}", c.rejected},
+      {"dba_service_shed_total{reason=\"deadline\"}", c.shed},
+      {"dba_service_shed_total{reason=\"rate_limited\"}", c.rate_limited},
+      {"dba_service_shed_total{reason=\"breaker_open\"}", c.breaker_sheds},
+      {"dba_service_dispatched_total", c.dispatched},
+      {"dba_service_batches_total", c.batches},
+      {"dba_service_dedup_total", c.deduplicated},
+      {"dba_service_cache_hits_total", c.cache_hits},
+      {"dba_service_cache_misses_total", c.cache_misses},
+      {"dba_service_cache_evictions_total", c.cache_evictions},
+      {"dba_service_cache_invalidations_total", c.cache_invalidations},
+      {"dba_service_retries_total", c.retries},
+      {"dba_service_degraded_total", c.degraded},
+      {"dba_service_breaker_transitions_total", c.breaker_transitions},
+  };
+}
+
+uint64_t CounterIn(const obs::MetricsSnapshot& snapshot,
+                   const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+// Drives a fresh VirtualClock service through traffic that moves every
+// ServiceCounters field a service with this `host_fallback` can move:
+// admission refusals, a deadline shed, a dedup twin, cache hits, misses,
+// evictions and invalidations, engine retries, then a board outage that
+// trips the breaker. Returns the tally after the last response.
+ServiceCounters RunCounterTraffic(bool host_fallback) {
+  system::BoardConfig board_config;
+  board_config.num_cores = 2;
+  board_config.host_threads = 1;
+  auto board = system::Board::Create(board_config);
+  EXPECT_TRUE(board.ok()) << board.status();
+  VirtualClock clock;
+  ServiceConfig config;
+  config.board = board->get();
+  config.clock = &clock;
+  config.queue_capacity = 5;
+  config.cache_capacity = 2;
+  config.max_attempts = 2;
+  config.breaker.failure_threshold = 1;
+  config.host_fallback = host_fallback;
+  TenantPolicy metered;
+  metered.rate_per_sec = 1000;  // burst 1: one token per virtual ms
+  config.tenant_policies["metered"] = metered;
+  auto service_or = QueryService::Create(config);
+  EXPECT_TRUE(service_or.ok()) << service_or.status();
+  QueryService& service = **service_or;
+  EXPECT_TRUE(service
+                  .RegisterTable(std::make_unique<query::Table>(
+                      test::MakeServiceTable("orders", 512, 7)))
+                  .ok());
+  // Every engine set-op step fails its first attempt: one retry each.
+  service.SetAttemptFaultHook([](std::string_view, int attempt) {
+    return attempt == 0 ? Status::Unavailable("injected") : Status::Ok();
+  });
+
+  const auto pool = test::MakePredicatePool(4);
+  const auto query = [&](size_t p, const std::string& tenant = "t") {
+    ServiceRequest request;
+    request.tenant = tenant;
+    request.table = "orders";
+    request.predicate = pool[p];
+    return request;
+  };
+  const auto direct = [] {
+    ServiceRequest request;
+    request.tenant = "t";
+    request.op = SetOp::kUnion;
+    request.a = {1, 3};
+    request.b = {2, 4};
+    return request;
+  };
+  std::vector<std::future<ServiceResponse>> futures;
+  const auto batch = [&](std::vector<ServiceRequest> requests) {
+    service.PauseDispatch();
+    for (ServiceRequest& request : requests) {
+      futures.push_back(service.Submit(std::move(request)));
+    }
+    clock.AdvanceBy(100);
+    service.ResumeDispatch();
+    service.Drain();
+  };
+
+  ServiceRequest doomed = query(2);
+  doomed.deadline_ns = 10;
+  // Five queue up (one twin, one past its deadline at dispatch); the
+  // second metered request is rate-limited and the last finds the queue
+  // full.
+  batch({query(1), query(1), std::move(doomed), query(3, "metered"),
+         query(3, "metered"), direct(), query(0)});
+  batch({query(1), query(0)});  // a hit, then a miss that evicts
+  EXPECT_TRUE(service
+                  .UpdateColumn("orders", "region",
+                                test::MakeColumnValues("region", 512, 8))
+                  .ok());
+  fault::FaultPlan outage;
+  outage.seed = 5;
+  outage.broken_cores = {0, 1};
+  outage.hang_watchdog_cycles = 2000;
+  EXPECT_TRUE(service.board()->SetFaultPlan(outage).ok());
+  batch({direct()});  // fails on the board and trips the breaker
+  batch({direct(), query(1)});  // served around the open breaker
+  for (auto& future : futures) future.get();
+  return service.counters();
+}
+
+TEST(ServiceResilience, RegistryMatchesTheTallyOfEveryCounter) {
+  // The dba_service_* registry counters move by exactly the service's
+  // tally, and each shed reason label equals its field; the two
+  // services together move every field.
+  std::map<std::string, uint64_t> moved;
+  for (const bool host_fallback : {true, false}) {
+    SCOPED_TRACE(host_fallback ? "host fallback" : "no host fallback");
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Global().Snapshot();
+    const ServiceCounters tally = RunCounterTraffic(host_fallback);
+    const obs::MetricsSnapshot after =
+        obs::MetricsRegistry::Global().Snapshot();
+    for (const auto& [name, value] : RegistryView(tally)) {
+      EXPECT_EQ(CounterIn(after, name) - CounterIn(before, name), value)
+          << name;
+      moved[name] += value;
+    }
+  }
+  for (const auto& [name, total] : moved) {
+    EXPECT_GT(total, 0u) << name << " never moved";
+  }
 }
 
 // --- Validate() rejections -------------------------------------------------

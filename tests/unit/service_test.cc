@@ -423,6 +423,30 @@ TEST_F(QueryServiceTest, ExpiredDeadlineIsShedAtDispatch) {
   EXPECT_EQ(service->counters().shed, 1u);
 }
 
+TEST_F(QueryServiceTest, CountersCoverABatchBeforeItsFirstResponse) {
+  // A batch books its counters once, before any of its responses goes
+  // out: whoever the first response wakes sees the whole batch counted.
+  // Each response copies a 1.5 MB result, so a service that counted as
+  // responses went out would still be answering the other fifteen.
+  auto service = MakeOrdersService(ServiceConfig{});
+  std::vector<uint32_t> values(393216);
+  for (uint32_t i = 0; i < values.size(); ++i) values[i] = 2 * i;
+  service->PauseDispatch();
+  std::vector<std::future<ServiceResponse>> futures;
+  for (int i = 0; i < 16; ++i) {
+    futures.push_back(
+        service->Submit(DirectRequest(SetOp::kUnion, values, {})));
+  }
+  service->ResumeDispatch();
+  ASSERT_TRUE(futures[0].get().status.ok());
+  const ServiceCounters counters = service->counters();
+  EXPECT_EQ(counters.submitted, 16u);
+  EXPECT_EQ(counters.batches, 1u);
+  EXPECT_EQ(counters.dispatched, 16u);
+  EXPECT_EQ(counters.deduplicated, 15u);
+  service->Drain();
+}
+
 TEST_F(QueryServiceTest, UnknownTableReportsNotFound) {
   auto service = MakeService(board_.get(), ServiceConfig{});
   const auto pool = test::MakePredicatePool(1);

@@ -711,22 +711,12 @@ int RunServe(const CliOptions& options, ProcessorKind kind,
               static_cast<unsigned long long>(counters.cache_hits),
               static_cast<unsigned long long>(counters.cache_misses),
               static_cast<unsigned long long>(counters.cache_evictions));
-  const dba::obs::MetricsSnapshot snapshot =
-      dba::obs::MetricsRegistry::Global().Snapshot();
-  const auto shed_counter = [&snapshot](svc::ShedReason reason) {
-    const std::string key = "dba_service_shed_total{reason=\"" +
-                            std::string(svc::ShedReasonName(reason)) + "\"}";
-    const auto it = snapshot.counters.find(key);
-    return it == snapshot.counters.end() ? 0ull
-                                         : static_cast<unsigned long long>(
-                                               it->second);
-  };
   std::printf("sheds     queue_full %llu   deadline %llu   rate_limited %llu"
               "   breaker_open %llu\n",
-              shed_counter(svc::ShedReason::kQueueFull),
-              shed_counter(svc::ShedReason::kDeadline),
-              shed_counter(svc::ShedReason::kRateLimited),
-              shed_counter(svc::ShedReason::kBreakerOpen));
+              static_cast<unsigned long long>(counters.rejected),
+              static_cast<unsigned long long>(counters.shed),
+              static_cast<unsigned long long>(counters.rate_limited),
+              static_cast<unsigned long long>(counters.breaker_sheds));
   std::printf("breaker   state %s   transitions %llu   degraded %llu   "
               "breaker_sheds %llu\n",
               std::string(svc::BreakerStateName((*service)->breaker_state()))
@@ -748,6 +738,8 @@ int RunServe(const CliOptions& options, ProcessorKind kind,
                                    static_cast<double>(answered)
                              : 0.0);
   }
+  const dba::obs::MetricsSnapshot snapshot =
+      dba::obs::MetricsRegistry::Global().Snapshot();
   for (const auto* name :
        {"dba_service_latency_ns", "dba_service_batch_size"}) {
     const auto it = snapshot.histograms.find(name);
