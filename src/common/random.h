@@ -5,6 +5,15 @@
 
 namespace dba {
 
+/// SplitMix64's output for state `x`: seeds Random, and hashes the chaos
+/// schedules and the service's retry jitter.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic 64-bit PRNG (xoshiro256**). Workloads and property tests
 /// must be reproducible across platforms, so the library never uses
 /// std::mt19937 (implementation-defined seeding helpers) or rand().
@@ -12,13 +21,9 @@ class Random {
  public:
   explicit Random(uint64_t seed) {
     // SplitMix64 seeding as recommended by the xoshiro authors.
-    uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9E3779B97F4A7C15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      word = z ^ (z >> 31);
+      word = Mix64(seed);
+      seed += 0x9E3779B97F4A7C15ULL;
     }
   }
 

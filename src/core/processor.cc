@@ -71,19 +71,6 @@ constexpr uint64_t kSysSize = 32ull << 20;
 constexpr uint32_t kSysLatencyCycles = 4;
 constexpr uint64_t kLocalDataBytesTotal = 64ull << 10;
 
-Status ValidateStrictlyIncreasing(std::span<const uint32_t> values,
-                                  const char* which) {
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] <= values[i - 1]) {
-      return Status::InvalidArgument(
-          std::string("input set ") + which +
-          " must be sorted and duplicate-free (violation at index " +
-          std::to_string(i) + ")");
-    }
-  }
-  return Status::Ok();
-}
-
 /// Bytes a set occupies in a local memory, including beat padding.
 uint64_t PaddedBytes(uint64_t elements) {
   return AlignUp(elements * 4, mem::kBeatBytes);
@@ -260,8 +247,7 @@ Result<SetOpRun> Processor::RunSetOperation(SetOp op,
         "kMerge is the merge-sort building block; use RunSort");
   }
   if (settings.validate_inputs) {
-    DBA_RETURN_IF_ERROR(ValidateStrictlyIncreasing(a, "A"));
-    DBA_RETURN_IF_ERROR(ValidateStrictlyIncreasing(b, "B"));
+    DBA_RETURN_IF_ERROR(eis::ValidateOperands(op, a, b));
   }
   if (a.size() > max_set_elements(static_cast<uint32_t>(b.size())) ||
       b.size() > max_set_elements(static_cast<uint32_t>(a.size()))) {
@@ -281,18 +267,7 @@ Result<SetOpRun> Processor::RunSetOperation(SetOp op,
 Result<SetOpRun> Processor::RunMerge(std::span<const uint32_t> a,
                                      std::span<const uint32_t> b,
                                      const RunSettings& settings) {
-  auto validate_sorted = [](std::span<const uint32_t> values,
-                            const char* which) -> Status {
-    for (size_t i = 1; i < values.size(); ++i) {
-      if (values[i] < values[i - 1]) {
-        return Status::InvalidArgument(std::string("merge input ") + which +
-                                       " must be sorted");
-      }
-    }
-    return Status::Ok();
-  };
-  DBA_RETURN_IF_ERROR(validate_sorted(a, "A"));
-  DBA_RETURN_IF_ERROR(validate_sorted(b, "B"));
+  DBA_RETURN_IF_ERROR(eis::ValidateOperands(SetOp::kMerge, a, b));
   if (a.size() > max_set_elements(static_cast<uint32_t>(b.size())) ||
       b.size() > max_set_elements(static_cast<uint32_t>(a.size()))) {
     return Status::ResourceExhausted(

@@ -1,7 +1,9 @@
 #include "eis/sop.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -34,6 +36,30 @@ Result<std::span<const uint32_t>> EmptyOperandResult(
   }
   return Status::InvalidArgument("unsupported set operation " +
                                  std::to_string(static_cast<int>(mode)));
+}
+
+Status ValidateOperands(SopMode mode, std::span<const uint32_t> a,
+                        std::span<const uint32_t> b) {
+  if (mode > SopMode::kMerge) return EmptyOperandResult(mode, a, b).status();
+  const std::pair<std::span<const uint32_t>, const char*> operands[] = {
+      {a, "A"}, {b, "B"}};
+  for (const auto& [values, which] : operands) {
+    if (mode == SopMode::kMerge) {
+      if (!std::is_sorted(values.begin(), values.end())) {
+        return Status::InvalidArgument(std::string("merge input ") + which +
+                                       " must be sorted");
+      }
+    } else if (const auto before_violation =
+                   std::adjacent_find(values.begin(), values.end(),
+                                      std::greater_equal<uint32_t>());
+               before_violation != values.end()) {
+      return Status::InvalidArgument(
+          std::string("input set ") + which +
+          " must be sorted and duplicate-free (violation at index " +
+          std::to_string(before_violation - values.begin() + 1) + ")");
+    }
+  }
+  return Status::Ok();
 }
 
 namespace {

@@ -25,12 +25,19 @@ std::string_view SopModeName(SopMode mode);
 /// The answer of `mode` when at least one operand is empty, which needs
 /// no comparator network: intersect yields nothing, union and merge the
 /// non-empty side, difference A. Every layer that short-cuts an empty
-/// operand (board partitions, the streamed tail, the query engine, the
-/// service's host fallback) asks this function; each charges its own
+/// operand (board partitions, the streamed tail, the query engine,
+/// query::RunRoute) asks this function; each charges its own
 /// cost for the copy. The returned span views `a` or `b`.
 /// InvalidArgument for a value outside SopMode.
 Result<std::span<const uint32_t>> EmptyOperandResult(
     SopMode mode, std::span<const uint32_t> a, std::span<const uint32_t> b);
+
+/// The input contract of `mode`, checked by Processor and by the query
+/// service's Submit: strictly increasing operands for intersect, union
+/// and difference, non-decreasing ones for merge. InvalidArgument names
+/// the first offending operand; so is a value outside SopMode.
+Status ValidateOperands(SopMode mode, std::span<const uint32_t> a,
+                        std::span<const uint32_t> b);
 
 /// A Word-state window: up to four 32-bit elements, sorted ascending,
 /// occupying lanes [0, count). The window always holds a contiguous

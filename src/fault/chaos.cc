@@ -2,17 +2,11 @@
 
 #include <algorithm>
 
+#include "common/random.h"
+
 namespace dba::fault {
 
 namespace {
-
-/// SplitMix64 finalizer: the schedule's only entropy source.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from one mixed draw.
 double MixUnit(uint64_t x) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <numeric>
+#include <optional>
 
 #include "obs/metrics/metrics.h"
 #include "prefetch/streaming.h"
@@ -171,10 +172,6 @@ Result<std::vector<uint32_t>> RunQuery(std::string_view op,
   return out;
 }
 
-std::string EisFaultKey(SetOp op) {
-  return "eis:" + std::string(eis::SopModeName(op));
-}
-
 }  // namespace
 
 Status QueryEngine::BuildIndex(const std::string& column) {
@@ -294,33 +291,73 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
     return std::vector<Rid>(kept.begin(), kept.end());
   }
 
-  // Adaptive routing applies to intersections only (union/difference/
-  // merge always take the EIS datapath); off by default.
+  // The planner (off by default) routes intersections only; every other
+  // step takes the EIS datapath.
+  std::optional<PlannedIntersect> plan;
   if (op == SetOp::kIntersect && planner_ != nullptr) {
-    return RunPlannedIntersect(a, b, stats);
+    plan = PlanIntersect(a, b, stats);
   }
+  const Route route = plan.has_value() ? plan->decision.route
+                                       : Route::kEisMerge;
+  const std::string route_name(RouteName(route));
+  // The partition route probes the (cached or transient) index over the
+  // larger operand with the smaller.
+  const bool swap = route == Route::kPartitionProbe &&
+                    a.rids.size() > b.rids.size();
 
   QueryStats step;
   DBA_ASSIGN_OR_RETURN(
-      prefetch::AnySizeRun run,
-      RunAttempts(EisFaultKey(op), "", &step,
-                  [&](const RunSettings& settings) {
-                    return prefetch::RunSetOperationAnySize(
-                        processor_, op, a.rids, b.rids, settings);
+      RouteRun run,
+      RunAttempts(route == Route::kEisMerge
+                      ? "eis:" + std::string(eis::SopModeName(op))
+                      : "route:" + route_name,
+                  "", &step, [&](const RunSettings& settings) {
+                    return RunRoute(op, route, swap ? b.rids : a.rids,
+                                    swap ? a.rids : b.rids, processor_,
+                                    settings,
+                                    plan.has_value() ? plan->index : nullptr);
                   }));
-  CountSetOp(&step, std::string(eis::SopModeName(op)), a.rids.size(),
-             b.rids.size(), run.result.size(), run.cycles, run.streamed);
+  std::string label(eis::SopModeName(op));
+  if (plan.has_value()) {
+    const PlanInstrumentSet& plan_metrics = PlanInstruments();
+    const double route_seconds = run.route_seconds + run.build_seconds;
+    const size_t route_idx = static_cast<size_t>(route);
+    plan_metrics.route_wall_ns[route_idx]->Observe(
+        static_cast<uint64_t>(route_seconds * 1e9));
+    if (route == Route::kEisMerge) {
+      plan_metrics.eis_cycles->Observe(run.accelerator_cycles);
+    }
+    if (run_settings_.trace_sink != nullptr) {
+      // Planner span on the simulated timeline: EIS spans are exact; host
+      // routes are rendered at their wall-equivalent width in cycles.
+      const uint64_t cycles_base = stats->accelerator_cycles;
+      const uint64_t width =
+          route == Route::kEisMerge
+              ? run.accelerator_cycles
+              : static_cast<uint64_t>(route_seconds *
+                                      processor_->frequency_hz());
+      run_settings_.trace_sink->BeginRegion(cycles_base,
+                                            "plan[" + route_name + "]");
+      run_settings_.trace_sink->EndRegion(cycles_base + width);
+    }
+    label = "intersect[" + route_name +
+            (plan->decision.forced ? ", forced" : "") + "]";
+    step.planned_ops = 1;
+    step.route_counts[route_idx] = 1;
+    if (route != Route::kEisMerge) step.host_route_seconds = route_seconds;
+  }
+  CountSetOp(&step, label, a.rids.size(), b.rids.size(), run.result.size(),
+             run.accelerator_cycles, run.streamed);
   Book(stats, std::move(step));
   return std::move(run.result);
 }
 
-Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
-    const OperandView& a, const OperandView& b, QueryStats* stats) {
+QueryEngine::PlannedIntersect QueryEngine::PlanIntersect(const OperandView& a,
+                                                         const OperandView& b,
+                                                         QueryStats* stats) {
   const PlanInstrumentSet& plan_metrics = PlanInstruments();
   const CostModel& model = planner_->cost_model();
-  const bool a_is_small = a.rids.size() <= b.rids.size();
-  const OperandView& small = a_is_small ? a : b;
-  const OperandView& large = a_is_small ? b : a;
+  const OperandView& large = a.rids.size() <= b.rids.size() ? b : a;
 
   // A cached index over the larger operand's exact RID set?
   const PartitionIndex* index = nullptr;
@@ -374,58 +411,7 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
     }
     state.missed_savings_ns = meter.missed_savings_ns();
   }
-
-  // Execute the chosen route through the attempt ladder, under the EIS
-  // fault key for the EIS route and the route's own key otherwise. The
-  // partition route probes the (cached or transient) index over the
-  // larger operand with the smaller; the other routes are symmetric and
-  // take the operands as-is.
-  const Route route = decision.route;
-  const std::string route_name(RouteName(route));
-  QueryStats step;
-  DBA_ASSIGN_OR_RETURN(
-      RouteRun run,
-      RunAttempts(route == Route::kEisMerge ? EisFaultKey(SetOp::kIntersect)
-                                            : "route:" + route_name,
-                  "", &step, [&](const RunSettings& settings) {
-                    return route == Route::kPartitionProbe
-                               ? RunIntersectRoute(route, small.rids,
-                                                   large.rids, processor_,
-                                                   settings, index)
-                               : RunIntersectRoute(route, a.rids, b.rids,
-                                                   processor_, settings);
-                  }));
-  const double route_seconds = run.route_seconds + run.build_seconds;
-  const size_t route_idx = static_cast<size_t>(route);
-  plan_metrics.route_wall_ns[route_idx]->Observe(
-      static_cast<uint64_t>(route_seconds * 1e9));
-  if (route == Route::kEisMerge) {
-    plan_metrics.eis_cycles->Observe(run.accelerator_cycles);
-  }
-  if (run_settings_.trace_sink != nullptr) {
-    // Planner span on the simulated timeline: EIS spans are exact; host
-    // routes are rendered at their wall-equivalent width in cycles.
-    const uint64_t cycles_base = stats->accelerator_cycles;
-    const uint64_t width =
-        route == Route::kEisMerge
-            ? run.accelerator_cycles
-            : static_cast<uint64_t>(route_seconds *
-                                    processor_->frequency_hz());
-    run_settings_.trace_sink->BeginRegion(cycles_base,
-                                          "plan[" + route_name + "]");
-    run_settings_.trace_sink->EndRegion(cycles_base + width);
-  }
-
-  CountSetOp(&step,
-             "intersect[" + route_name + (decision.forced ? ", forced" : "") +
-                 "]",
-             a.rids.size(), b.rids.size(), run.result.size(),
-             run.accelerator_cycles, run.streamed);
-  step.planned_ops = 1;
-  step.route_counts[route_idx] = 1;
-  if (route != Route::kEisMerge) step.host_route_seconds = route_seconds;
-  Book(stats, std::move(step));
-  return std::move(run.result);
+  return {decision, index};
 }
 
 Result<std::vector<Rid>> QueryEngine::Complement(const std::vector<Rid>& rids,

@@ -186,17 +186,25 @@ class QueryEngine {
       std::string_view fault_key, std::string_view retry_note,
       QueryStats* step, const Attempt& attempt);
 
+  /// The one set-operation step: RunRoute through the attempt ladder, on
+  /// the planner's route for an intersection, else on the EIS route.
   Result<std::vector<Rid>> RunSetOp(SetOp op, const OperandView& a,
                                     const OperandView& b, QueryStats* stats);
   Result<std::vector<Rid>> Complement(const std::vector<Rid>& rids,
                                       QueryStats* stats);
 
-  /// Planner-routed intersection of two non-empty operands: decides,
-  /// runs the lazy-index savings accounting, executes the chosen route,
-  /// and books the decision into stats/metrics/trace.
-  Result<std::vector<Rid>> RunPlannedIntersect(const OperandView& a,
-                                               const OperandView& b,
-                                               QueryStats* stats);
+  /// The planner's route for one intersection and the cached
+  /// PartitionIndex over its larger operand (null when none is cached).
+  struct PlannedIntersect {
+    PlanDecision decision;
+    const PartitionIndex* index = nullptr;
+  };
+
+  /// Plans an intersection of two non-empty operands: takes the
+  /// decision and runs the lazy-index savings accounting, booking an
+  /// index it materializes into `stats`.
+  PlannedIntersect PlanIntersect(const OperandView& a, const OperandView& b,
+                                 QueryStats* stats);
 
   /// Sorts `values` on the accelerator through the attempt ladder
   /// (prefetch::SortAnySize) and adds its sorts, streamed merges, cycles

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "baseline/galloping_baseline.h"
+#include "baseline/scalar_baseline.h"
 #include "baseline/simd_baseline.h"
 #include "core/workload.h"
 #include "prefetch/streaming.h"
@@ -226,65 +228,81 @@ PlanDecision Planner::Plan(size_t a_size, size_t b_size,
   return decision;
 }
 
+Result<RouteRun> RunRoute(SetOp op, Route route, std::span<const uint32_t> a,
+                          std::span<const uint32_t> b, Processor* processor,
+                          const RunSettings& settings,
+                          const PartitionIndex* index) {
+  RouteRun run;
+  run.route = route;
+  if (a.empty() || b.empty()) {
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> kept,
+                         eis::EmptyOperandResult(op, a, b));
+    run.result.assign(kept.begin(), kept.end());
+    return run;
+  }
+
+  if (route == Route::kEisMerge) {
+    if (processor == nullptr) {
+      return Status::FailedPrecondition(
+          "the eis_merge route needs a processor");
+    }
+    DBA_ASSIGN_OR_RETURN(
+        prefetch::AnySizeRun eis_run,
+        prefetch::RunSetOperationAnySize(processor, op, a, b, settings));
+    run.result = std::move(eis_run.result);
+    run.accelerator_cycles = eis_run.cycles;
+    run.route_seconds =
+        static_cast<double>(eis_run.cycles) / processor->frequency_hz();
+    run.streamed = eis_run.streamed;
+    return run;
+  }
+
+  // A host route. Its intersection probes a PartitionIndex over `b`
+  // with `a` on the partition route: `index` when given, else a
+  // transient one built over the larger input.
+  if (static_cast<size_t>(route) >= kNumRoutes) {
+    return Status::Internal("unhandled route");
+  }
+  PartitionIndex transient;
+  if (op == SetOp::kIntersect && route == Route::kPartitionProbe &&
+      index == nullptr) {
+    if (a.size() > b.size()) std::swap(a, b);
+    const Clock::time_point build_begin = Clock::now();
+    transient = PartitionIndex::Build(b);
+    run.build_seconds = ElapsedNs(build_begin, Clock::now()) * 1e-9;
+    index = &transient;
+  }
+  const Clock::time_point begin = Clock::now();
+  switch (op) {
+    case SetOp::kIntersect:
+      run.result = route == Route::kGalloping
+                       ? baseline::GallopingIntersect(a, b)
+                   : route == Route::kSimdMerge ? baseline::SimdIntersect(a, b)
+                                                : index->Intersect(a);
+      break;
+    case SetOp::kUnion:
+      run.result = baseline::ScalarUnion(a, b);
+      break;
+    case SetOp::kDifference:
+      run.result = baseline::ScalarDifference(a, b);
+      break;
+    case SetOp::kMerge:  // duplicates kept, as on the EIS route
+      run.result.resize(a.size() + b.size());
+      std::merge(a.begin(), a.end(), b.begin(), b.end(), run.result.begin());
+      break;
+    default:  // outside SopMode: the shared rule's InvalidArgument
+      return eis::EmptyOperandResult(op, a, b).status();
+  }
+  run.route_seconds = ElapsedNs(begin, Clock::now()) * 1e-9;
+  return run;
+}
+
 Result<RouteRun> RunIntersectRoute(Route route, std::span<const uint32_t> a,
                                    std::span<const uint32_t> b,
                                    Processor* processor,
                                    const RunSettings& settings,
                                    const PartitionIndex* index) {
-  RouteRun run;
-  run.route = route;
-  if (a.empty() || b.empty()) return run;
-
-  switch (route) {
-    case Route::kEisMerge: {
-      if (processor == nullptr) {
-        return Status::FailedPrecondition(
-            "the eis_merge route needs a processor");
-      }
-      DBA_ASSIGN_OR_RETURN(
-          prefetch::AnySizeRun eis_run,
-          prefetch::RunSetOperationAnySize(processor, SetOp::kIntersect, a, b,
-                                           settings));
-      run.result = std::move(eis_run.result);
-      run.accelerator_cycles = eis_run.cycles;
-      run.route_seconds =
-          static_cast<double>(eis_run.cycles) / processor->frequency_hz();
-      run.streamed = eis_run.streamed;
-      return run;
-    }
-    case Route::kGalloping: {
-      const Clock::time_point begin = Clock::now();
-      run.result = baseline::GallopingIntersect(a, b);
-      run.route_seconds = ElapsedNs(begin, Clock::now()) * 1e-9;
-      return run;
-    }
-    case Route::kSimdMerge: {
-      const Clock::time_point begin = Clock::now();
-      run.result = baseline::SimdIntersect(a, b);
-      run.route_seconds = ElapsedNs(begin, Clock::now()) * 1e-9;
-      return run;
-    }
-    case Route::kPartitionProbe: {
-      // `index` (when given) indexes `b`; probe with `a`. Without one,
-      // build a transient index over the larger input.
-      const PartitionIndex* probe_index = index;
-      PartitionIndex transient;
-      std::span<const uint32_t> probes = a;
-      if (probe_index == nullptr) {
-        const bool a_is_large = a.size() > b.size();
-        const Clock::time_point build_begin = Clock::now();
-        transient = PartitionIndex::Build(a_is_large ? a : b);
-        run.build_seconds = ElapsedNs(build_begin, Clock::now()) * 1e-9;
-        probe_index = &transient;
-        probes = a_is_large ? b : a;
-      }
-      const Clock::time_point begin = Clock::now();
-      run.result = probe_index->Intersect(probes);
-      run.route_seconds = ElapsedNs(begin, Clock::now()) * 1e-9;
-      return run;
-    }
-  }
-  return Status::Internal("unhandled route");
+  return RunRoute(SetOp::kIntersect, route, a, b, processor, settings, index);
 }
 
 }  // namespace dba::query

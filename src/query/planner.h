@@ -15,10 +15,10 @@
 
 namespace dba::query {
 
-/// The intersection kernels the adaptive planner routes between
-/// (docs/PLANNER.md). Union/difference/merge always take the EIS
-/// datapath; intersection is where set-size skew opens the gap
-/// (Ding & Koenig; Lemire/Boytsov/Kurz).
+/// The routes a set operation can run on (docs/PLANNER.md). The planner
+/// picks among them for intersections, where set-size skew opens the gap
+/// (Ding & Koenig; Lemire/Boytsov/Kurz); the three host routes run
+/// union, difference and merge alike on the host's scalar kernels.
 enum class Route : uint8_t {
   kEisMerge = 0,        // board/processor EIS merge datapath
   kGalloping = 1,       // host galloping search (small : large skew)
@@ -120,7 +120,7 @@ class Planner {
   CostModel model_;
 };
 
-/// Result of executing one routed intersection.
+/// Result of executing one routed set operation.
 struct RouteRun {
   std::vector<uint32_t> result;
   Route route = Route::kEisMerge;
@@ -135,12 +135,19 @@ struct RouteRun {
   bool streamed = false;  // EIS route exceeded the local store
 };
 
-/// Executes one intersection over the given route. Inputs must be
-/// sorted and duplicate-free; all routes return results byte-identical
-/// to baseline::ScalarIntersect. The EIS route needs `processor`
-/// (streaming through the prefetcher beyond the local store); the
-/// partition route probes `index` when given and builds a transient one
-/// over the larger input otherwise.
+/// Executes one set operation over the given route, byte-identical to
+/// the scalar baselines on every route; inputs must satisfy
+/// eis::ValidateOperands. An empty operand gets eis::EmptyOperandResult.
+/// The EIS route runs prefetch::RunSetOperationAnySize on `processor`. A
+/// host route runs an intersection on its own kernel (the partition
+/// route probes `index`, which indexes `b`, or a transient index over
+/// the larger input) and union, difference and merge on scalar kernels.
+Result<RouteRun> RunRoute(SetOp op, Route route, std::span<const uint32_t> a,
+                          std::span<const uint32_t> b, Processor* processor,
+                          const RunSettings& settings = {},
+                          const PartitionIndex* index = nullptr);
+
+/// RunRoute for an intersection.
 Result<RouteRun> RunIntersectRoute(Route route, std::span<const uint32_t> a,
                                    std::span<const uint32_t> b,
                                    Processor* processor,

@@ -117,15 +117,6 @@ Result<std::vector<ColumnVersion>> StampVersions(
   return versions;
 }
 
-/// The planner policy of degraded predicate routing: every RID-set
-/// intersection takes host galloping, and no partition index is built.
-query::PlannerOptions DegradedPlannerOptions() {
-  query::PlannerOptions options;
-  options.force_route = query::Route::kGalloping;
-  options.allow_partition_index = false;
-  return options;
-}
-
 }  // namespace
 
 Status ServiceConfig::Validate() const {
@@ -261,14 +252,19 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
     policy = &policy_it->second;
     priority += SloPriorityBoost(policy->slo);
   }
-  Status refused;  // non-OK: the request is answered at once, unqueued
+  // Non-OK: the request is answered at once, unqueued. A malformed
+  // direct op would fail its whole batch on the board.
+  Status refused = job.request.predicate == nullptr
+                       ? eis::ValidateOperands(job.request.op, job.request.a,
+                                               job.request.b)
+                       : Status::Ok();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ServiceCounters delta;
     delta.submitted = 1;
     if (stopping_) {
       refused = Status::Unavailable("service stopped");
-    } else {
+    } else if (refused.ok()) {
       job.enqueue_ns = clock_->NowNs();
       if (policy != nullptr) {
         // SLO class: requests without an explicit deadline inherit the
@@ -784,7 +780,7 @@ void QueryService::ExecuteBatch(std::vector<Job> batch,
         unique.status = Status::Ok();
         unique.retries = stats.retries;
         unique.cycles = stats.accelerator_cycles;
-        // Freshly executed under forced host routing: the values are
+        // Freshly executed under degraded host routing: the values are
         // bit-identical, but the venue was degraded. (Cache hits keep
         // degraded = false -- they were computed before the outage.)
         unique.degraded = degrade_predicates;

@@ -170,6 +170,8 @@ class QueryService {
   /// Admits `request` and returns a future for its response. The future
   /// is always fulfilled: with the result, kUnavailable (queue full or
   /// service stopped), kDeadlineExceeded (shed), or the execution error.
+  /// A direct op that fails eis::ValidateOperands (an op outside SetOp,
+  /// or inputs out of order) is answered at once with kInvalidArgument.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
   /// Test hooks: freeze/unfreeze dispatch (queued work keeps admitting

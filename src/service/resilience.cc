@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "baseline/scalar_baseline.h"
-#include "query/planner.h"
+#include "common/random.h"
 
 namespace dba::service {
-
-namespace {
-
-/// SplitMix64 finalizer: the jitter hash (matches the fault layer's
-/// mixing idiom; self-contained so resilience has no fault dependency).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 // --- SLO classes -----------------------------------------------------------
 
@@ -273,44 +258,23 @@ void CircuitBreaker::OnBoardResult(bool ok,
 
 // --- Host fallback ---------------------------------------------------------
 
+query::PlannerOptions DegradedPlannerOptions() {
+  query::PlannerOptions options;
+  options.cost_model = query::DefaultCostModel();
+  options.allow_partition_index = false;
+  return options;
+}
+
 Result<std::vector<uint32_t>> RunHostFallbackOp(SetOp op,
                                                 std::span<const uint32_t> a,
                                                 std::span<const uint32_t> b) {
-  if (a.empty() || b.empty()) {
-    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> kept,
-                         eis::EmptyOperandResult(op, a, b));
-    return std::vector<uint32_t>(kept.begin(), kept.end());
-  }
-  switch (op) {
-    case SetOp::kIntersect: {
-      // The planner's choice over the uncalibrated default costs with no
-      // index: galloping or SIMD merge, never the EIS route that
-      // degraded mode must avoid (planner_test guards this).
-      static const query::Planner planner = [] {
-        query::PlannerOptions options;
-        options.cost_model = query::DefaultCostModel();
-        return query::Planner(options);
-      }();
-      const query::Route route =
-          planner.Plan(a.size(), b.size(), /*index_available=*/false).route;
-      DBA_ASSIGN_OR_RETURN(query::RouteRun run,
-                           query::RunIntersectRoute(route, a, b,
-                                                    /*processor=*/nullptr));
-      return std::move(run.result);
-    }
-    case SetOp::kUnion:
-      return baseline::ScalarUnion(a, b);
-    case SetOp::kDifference:
-      return baseline::ScalarDifference(a, b);
-    case SetOp::kMerge: {
-      std::vector<uint32_t> out(a.size() + b.size());
-      std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin());
-      return out;
-    }
-    default:
-      return Status::InvalidArgument(
-          "host fallback supports intersect/union/difference/merge");
-  }
+  static const query::Planner planner(DegradedPlannerOptions());
+  const query::Route route =
+      planner.Plan(a.size(), b.size(), /*index_available=*/false).route;
+  DBA_ASSIGN_OR_RETURN(
+      query::RouteRun run,
+      query::RunRoute(op, route, a, b, /*processor=*/nullptr));
+  return std::move(run.result);
 }
 
 }  // namespace dba::service

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "core/processor.h"
+#include "query/planner.h"
 #include "system/board.h"
 
 namespace dba::service {
@@ -207,13 +208,16 @@ class CircuitBreaker {
 // Host-fallback execution (degraded mode)
 // ---------------------------------------------------------------------------
 
+/// Degraded mode's one planner policy, for direct ops and predicate
+/// intersections alike: DefaultCostModel() (no calibration run), no
+/// partition index, no forced route. It picks galloping or SIMD merge,
+/// never the EIS route degraded mode must avoid (planner_test guards it).
+query::PlannerOptions DegradedPlannerOptions();
+
 /// Executes one direct set operation entirely on host kernels --
-/// byte-identical to the board path, zero accelerator cycles.
-/// Intersections take the route query::Planner::Plan picks over
-/// DefaultCostModel() with no index (galloping or SIMD merge);
-/// union/difference use the scalar baselines; merge is a
-/// duplicate-preserving host merge. Empty operands get
-/// eis::EmptyOperandResult, the rule every layer shares.
+/// byte-identical to the board path, zero accelerator cycles: the
+/// DegradedPlannerOptions() planner picks the host route and
+/// query::RunRoute runs the op on it.
 Result<std::vector<uint32_t>> RunHostFallbackOp(SetOp op,
                                                 std::span<const uint32_t> a,
                                                 std::span<const uint32_t> b);

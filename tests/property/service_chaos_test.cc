@@ -20,12 +20,16 @@
 //    bit-exact, flagged degraded -- by the host fallback.
 // 4. MeltdownRecovers: after the operator heals the board, the breaker
 //    walks open -> half-open -> closed and service leaves degraded mode.
+// 5. DegradedPredicatesPlanLikeDirectOps: while the breaker is open, a
+//    predicate intersection takes the route the direct-op fallback's
+//    planner picks, builds no partition index and runs no calibration.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,6 +37,8 @@
 
 #include "fault/chaos.h"
 #include "fault/fault.h"
+#include "obs/metrics/metrics.h"
+#include "query/planner.h"
 #include "query/predicate.h"
 #include "query/table.h"
 #include "service/query_service.h"
@@ -339,6 +345,95 @@ TEST(ServiceChaos, MeltdownRecovers) {
   EXPECT_TRUE(after.status.ok()) << after.status;
   EXPECT_FALSE(after.degraded);
   EXPECT_EQ(service->breaker_state(), BreakerState::kClosed);
+}
+
+TEST(ServiceChaos, DegradedPredicatesPlanLikeDirectOps) {
+  // Degraded mode has one planner policy: a predicate intersection served
+  // while the breaker is open takes the route a direct op of the same
+  // shape would (DefaultCostModel, no index) -- here SIMD merge for a
+  // 22 x 43 RID intersection -- and builds no partition index and no
+  // kernel program.
+  auto board = MakeBoard(/*host_threads=*/2);
+  VirtualClock clock;
+  ServiceConfig config;
+  config.board = board.get();
+  config.clock = &clock;
+  config.breaker.failure_threshold = 1;
+  config.host_fallback = true;
+  auto service_or = QueryService::Create(config);
+  ASSERT_TRUE(service_or.ok()) << service_or.status();
+  auto service = *std::move(service_or);
+  ASSERT_TRUE(service
+                  ->RegisterTable(std::make_unique<query::Table>(
+                      test::MakeServiceTable("orders", kRows, 42)))
+                  .ok());
+
+  ServiceRequest query_request;
+  query_request.tenant = "t1";
+  query_request.table = "orders";
+  query_request.predicate = std::shared_ptr<const query::Predicate>(
+      query::And(query::Equals("region", 1), query::Equals("status", 0)));
+  // The reference builds its own processor's programs: before the
+  // registry is read.
+  test::SerialReference reference("orders", kRows, 42);
+  auto expected = reference.Select(*query_request.predicate);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  // Read before the breaker opens: opening it puts the table's engine on
+  // the degraded planner and the tripping request on the fallback's. A
+  // planner without a cost model would calibrate itself there, building
+  // kernel programs; the degraded policy must not.
+  std::vector<std::string> names = {"dba_query_partition_index_builds_total",
+                                    "dba_core_program_builds_total"};
+  for (size_t r = 0; r < query::kNumRoutes; ++r) {
+    names.push_back(obs::InstrumentIdentity(
+        "dba_query_plan_total", "route",
+        query::RouteName(static_cast<query::Route>(r))));
+  }
+  const auto registry_counts = [&names] {
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    std::map<std::string, uint64_t> counts;
+    for (const std::string& name : names) {
+      auto it = snapshot.counters.find(name);
+      counts[name] = it == snapshot.counters.end() ? 0 : it->second;
+    }
+    return counts;
+  };
+  const std::map<std::string, uint64_t> before = registry_counts();
+
+  // Meltdown: every core hangs; the first direct batch trips the breaker.
+  fault::FaultPlan melted;
+  melted.seed = 3;
+  melted.hang_watchdog_cycles = 2000;
+  for (int c = 0; c < kNumCores; ++c) melted.broken_cores.push_back(c);
+  ASSERT_TRUE(service->board()->SetFaultPlan(melted).ok());
+  ServiceRequest direct;
+  direct.tenant = "t0";
+  direct.a = {1, 5, 9};
+  direct.b = {1, 9, 20};
+  std::future<ServiceResponse> tripped = service->Submit(std::move(direct));
+  service->Drain();
+  (void)tripped.get();
+  ASSERT_EQ(service->breaker_state(), BreakerState::kOpen);
+
+  std::future<ServiceResponse> future =
+      service->Submit(std::move(query_request));
+  service->Drain();
+  const ServiceResponse response = future.get();
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  EXPECT_TRUE(response.degraded);
+  EXPECT_EQ(response.values, *expected);
+
+  std::map<std::string, uint64_t> after = registry_counts();
+  const std::string simd = obs::InstrumentIdentity(
+      "dba_query_plan_total", "route",
+      query::RouteName(query::Route::kSimdMerge));
+  EXPECT_EQ(after[simd], before.at(simd) + 1);
+  after[simd] = before.at(simd);
+  EXPECT_EQ(after, before)
+      << "only the simd_merge route may move: no other route, no "
+         "partition index and no program build";
 }
 
 }  // namespace

@@ -215,10 +215,12 @@ TEST(TraceTest, RecordsRenderedInstructions) {
 }
 
 // Service-submission fuzzer: arbitrary request streams -- malformed
-// predicates over unknown columns or tables, zero-length sets, shared
-// and duplicate tenant ids, random priorities and already-expired
-// deadlines -- must never crash the service, and every OK response must
-// match a serial recompute of the same request.
+// predicates over unknown columns or tables, malformed direct ops (an op
+// outside SetOp, inputs out of order), zero-length sets, shared and
+// duplicate tenant ids, random priorities and already-expired deadlines
+// -- must never crash the service, every malformed direct op must be
+// refused with InvalidArgument, and every OK response must match a
+// serial recompute of the same request.
 TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
   using service::ServiceRequest;
   using service::ServiceResponse;
@@ -255,12 +257,23 @@ TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
   const char* tenants[] = {"a", "a", "a", "b", ""};
 
   Random rng(0xD1CE);
+  // Mutated copies of direct ops come from a second stream, so every
+  // draw of `rng` -- and every request built from it -- stays as it was.
+  Random malformed_rng(0xBAD0);
   for (int round = 0; round < 40; ++round) {
     struct Pending {
       std::future<ServiceResponse> future;
       ServiceRequest request;  // copy for the serial recompute
+      bool malformed = false;  // Submit must refuse it: InvalidArgument
     };
     std::vector<Pending> pending;
+    const auto submit = [&](ServiceRequest request, bool malformed) {
+      Pending p;
+      p.malformed = malformed;
+      p.request = request;
+      p.future = service->Submit(std::move(request));
+      pending.push_back(std::move(p));
+    };
     const int burst = 1 + static_cast<int>(rng.Uniform(12));
     for (int i = 0; i < burst; ++i) {
       ServiceRequest request;
@@ -286,14 +299,47 @@ TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
           request.b = service::test::MakeSortedSet(rng, 48, 2048);
         }
       }
-      Pending p;
-      p.request = request;
-      p.future = service->Submit(std::move(request));
-      pending.push_back(std::move(p));
+      // Beside a direct op, sometimes a mutated copy of it: an op outside
+      // SetOp, a descent in one input, or a duplicate (which only merge
+      // accepts). The drawn request itself goes in unchanged.
+      bool mutated = false;
+      bool malformed = false;
+      ServiceRequest copy;
+      if (request.predicate == nullptr) {
+        copy = request;
+        std::vector<uint32_t>& side =
+            malformed_rng.Uniform(2) == 0 ? copy.a : copy.b;
+        switch (malformed_rng.Uniform(8)) {
+          case 0:
+            copy.op = static_cast<SetOp>(4 + malformed_rng.Uniform(252));
+            mutated = malformed = true;
+            break;
+          case 1:
+            if (side.empty()) side.push_back(1);
+            side.push_back(side.back() - 1);
+            mutated = malformed = true;
+            break;
+          case 2:
+            if (side.empty()) side.push_back(7);
+            side.push_back(side.back());
+            mutated = true;
+            malformed = copy.op != SetOp::kMerge;
+            break;
+          default:
+            break;
+        }
+      }
+      submit(std::move(request), /*malformed=*/false);
+      if (mutated) submit(std::move(copy), malformed);
     }
     service->Drain();
     for (Pending& p : pending) {
       const ServiceResponse response = p.future.get();
+      if (p.malformed) {
+        EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+            << "round " << round;
+        continue;
+      }
       if (!response.status.ok()) continue;  // clean rejection is fine
       // An OK response must be verifiable against a serial recompute.
       if (p.request.predicate != nullptr) {

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/galloping_baseline.h"
@@ -210,6 +213,80 @@ TEST(RouteEquivalenceTest, AllRoutesMatchScalarAcrossGrid) {
               << RouteName(route) << " small=" << small << " skew=" << skew
               << " selectivity=" << selectivity;
         }
+      }
+    }
+  }
+}
+
+TEST(RouteEquivalenceTest, EveryOpOnEveryRoute) {
+  auto processor = Processor::Create(ProcessorKind::kDba2LsuEis);
+  ASSERT_TRUE(processor.ok());
+  auto pair = GenerateSetPair(300, 1200, 0.5, 4242);
+  ASSERT_TRUE(pair.ok());
+  // Merge inputs hold duplicates, within each side and across both.
+  std::vector<uint32_t> merge_a;
+  std::vector<uint32_t> merge_b;
+  Random rng(4243);
+  for (int i = 0; i < 400; ++i) {
+    merge_a.push_back(static_cast<uint32_t>(rng.Uniform(500)));
+    merge_b.push_back(static_cast<uint32_t>(rng.Uniform(500)));
+  }
+  std::sort(merge_a.begin(), merge_a.end());
+  std::sort(merge_b.begin(), merge_b.end());
+
+  const auto reference = [](SetOp op, std::span<const uint32_t> a,
+                            std::span<const uint32_t> b) {
+    std::vector<uint32_t> out;
+    const auto sink = std::back_inserter(out);
+    switch (op) {
+      case SetOp::kIntersect:
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), sink);
+        break;
+      case SetOp::kUnion:
+        std::set_union(a.begin(), a.end(), b.begin(), b.end(), sink);
+        break;
+      case SetOp::kDifference:
+        std::set_difference(a.begin(), a.end(), b.begin(), b.end(), sink);
+        break;
+      case SetOp::kMerge:
+        std::merge(a.begin(), a.end(), b.begin(), b.end(), sink);
+        break;
+    }
+    return out;
+  };
+
+  const std::vector<uint32_t> none;
+  for (const SetOp op : {SetOp::kIntersect, SetOp::kUnion, SetOp::kDifference,
+                         SetOp::kMerge}) {
+    const std::vector<uint32_t>& a =
+        op == SetOp::kMerge ? merge_a : pair->a;
+    const std::vector<uint32_t>& b =
+        op == SetOp::kMerge ? merge_b : pair->b;
+    for (size_t r = 0; r < kNumRoutes; ++r) {
+      const Route route = static_cast<Route>(r);
+      const std::string label =
+          std::string(eis::SopModeName(op)) + " on " +
+          std::string(RouteName(route));
+      for (const bool swap : {false, true}) {
+        const std::vector<uint32_t>& x = swap ? b : a;
+        const std::vector<uint32_t>& y = swap ? a : b;
+        auto run = RunRoute(op, route, x, y, processor->get());
+        ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+        EXPECT_EQ(run->result, reference(op, x, y))
+            << label << (swap ? " (B, A)" : " (A, B)");
+        EXPECT_EQ(run->route, route) << label;
+      }
+      // Empty operands take the shared rule on every route, and need no
+      // processor even on the EIS route.
+      for (const auto& [x, y] : {std::pair{&none, &b}, std::pair{&a, &none},
+                                 std::pair{&none, &none}}) {
+        auto rule = eis::EmptyOperandResult(op, *x, *y);
+        ASSERT_TRUE(rule.ok());
+        auto run = RunRoute(op, route, *x, *y, /*processor=*/nullptr);
+        ASSERT_TRUE(run.ok()) << label << ": " << run.status();
+        EXPECT_EQ(run->result,
+                  std::vector<uint32_t>(rule->begin(), rule->end()))
+            << label << " with " << x->size() << " x " << y->size();
       }
     }
   }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fault/fault.h"
 #include "obs/metrics/metrics.h"
 #include "query/predicate.h"
 #include "query/table.h"
@@ -445,6 +446,57 @@ TEST_F(QueryServiceTest, CountersCoverABatchBeforeItsFirstResponse) {
   EXPECT_EQ(counters.dispatched, 16u);
   EXPECT_EQ(counters.deduplicated, 15u);
   service->Drain();
+}
+
+TEST_F(QueryServiceTest, MalformedDirectOpsAreRejectedAtSubmit) {
+  // A direct op whose op or inputs break eis::ValidateOperands is
+  // answered InvalidArgument at Submit and never joins a batch. On the
+  // board it would trip an unvalidated core's sorted-window check, or,
+  // once a fault plan makes the board validate partition inputs, fail
+  // every request batched with it.
+  test::SerialReference reference("orders", kRows, kTableSeed);
+  const std::vector<uint32_t> good_a = {2, 4, 8, 16, 32, 64};
+  const std::vector<uint32_t> good_b = {1, 4, 9, 16, 25, 36, 49, 64};
+  auto expected = reference.Direct(SetOp::kUnion, good_a, good_b);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  std::vector<ServiceRequest> malformed = {
+      DirectRequest(SetOp::kIntersect, {9, 3, 7, 1, 12, 15}, {1, 3, 7, 9}),
+      DirectRequest(SetOp::kUnion, {1, 2, 3}, {4, 5, 5, 6}),
+      DirectRequest(SetOp::kMerge, {5, 3, 8}, {1, 2, 2}),
+      DirectRequest(static_cast<SetOp>(7), {1, 2}, {2, 3}),
+  };
+  for (ServiceRequest& request : malformed) request.tenant = "t1";
+
+  for (const bool fault_plan : {false, true}) {
+    if (fault_plan) {
+      fault::FaultPlan plan;
+      plan.seed = 5;
+      plan.result_flip_rate = 0.05;
+      ASSERT_TRUE(board_->SetFaultPlan(plan).ok());
+    }
+    auto service = MakeOrdersService(ServiceConfig{});
+    service->PauseDispatch();
+    auto good = service->Submit(DirectRequest(SetOp::kUnion, good_a, good_b));
+    std::vector<std::future<ServiceResponse>> bad;
+    for (const ServiceRequest& request : malformed) {
+      bad.push_back(service->Submit(request));
+    }
+    service->ResumeDispatch();
+    service->Drain();
+
+    const ServiceResponse response = good.get();
+    ASSERT_TRUE(response.status.ok())
+        << "fault plan " << fault_plan << ": " << response.status;
+    EXPECT_EQ(response.values, *expected) << "fault plan " << fault_plan;
+    for (size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(bad[i].get().status.code(), StatusCode::kInvalidArgument)
+          << "fault plan " << fault_plan << ", malformed request " << i;
+    }
+    const ServiceCounters counters = service->counters();
+    EXPECT_EQ(counters.submitted, 5u);
+    EXPECT_EQ(counters.dispatched, 1u);
+    EXPECT_EQ(counters.rejected, 0u);
+  }
 }
 
 TEST_F(QueryServiceTest, UnknownTableReportsNotFound) {
