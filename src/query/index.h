@@ -17,7 +17,8 @@ namespace dba::query {
 /// specified", Section 2.3).
 class SecondaryIndex {
  public:
-  /// Builds the index over `column_name` of `table` (O(n log n)).
+  /// Builds the index over `column_name` of `table`: a stable radix
+  /// sort, O(n) per 8-bit digit in which the values differ.
   static Result<SecondaryIndex> Build(const Table& table,
                                       std::string column_name);
 

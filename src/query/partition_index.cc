@@ -7,10 +7,17 @@ namespace dba::query {
 
 PartitionIndex PartitionIndex::Build(std::span<const uint32_t> sorted_values) {
   PartitionIndex index;
+  const size_t n = sorted_values.size();
+  if (n == 0) return index;
+  index.size_ = n;
+  // The padding is never below a probe, so it never adds to a block's
+  // count, and Intersect only looks up probes up to the largest indexed
+  // value, so a padding slot is never taken for a match.
+  const size_t padded = (n + kBlockWidth - 1) / kBlockWidth * kBlockWidth;
+  index.values_.reserve(padded);
   index.values_.assign(sorted_values.begin(), sorted_values.end());
-  if (index.values_.empty()) return index;
+  index.values_.resize(padded, 0xFFFFFFFFu);
 
-  const size_t n = index.values_.size();
   const size_t partitions = (n + kPartitionWidth - 1) / kPartitionWidth;
   index.partition_max_.reserve(partitions);
   for (size_t p = 0; p < partitions; ++p) {
@@ -21,7 +28,7 @@ PartitionIndex PartitionIndex::Build(std::span<const uint32_t> sorted_values) {
 
   // Directory radix: enough entries that each maps to O(1) partitions on
   // a uniform domain, capped so the directory never dominates the index.
-  const uint32_t max_value = index.values_.back();
+  const uint32_t max_value = sorted_values.back();
   size_t dir_bits = std::bit_width(partitions) + 1;
   if (dir_bits > 20) dir_bits = 20;
   const uint32_t value_bits = std::bit_width(max_value);
@@ -52,34 +59,38 @@ size_t PartitionIndex::FindPartition(uint32_t value, size_t from) const {
 }
 
 bool PartitionIndex::Contains(uint32_t value) const {
-  if (values_.empty() || value > values_.back()) return false;
-  const size_t p = FindPartition(value, 0);
-  if (p >= partition_max_.size()) return false;
-  const size_t begin = p * kPartitionWidth;
-  const size_t end = std::min(values_.size(), begin + kPartitionWidth);
-  return std::binary_search(values_.begin() + static_cast<ptrdiff_t>(begin),
-                            values_.begin() + static_cast<ptrdiff_t>(end),
-                            value);
+  return !Intersect(std::span<const uint32_t>(&value, 1)).empty();
 }
 
 std::vector<uint32_t> PartitionIndex::Intersect(
     std::span<const uint32_t> probes) const {
   std::vector<uint32_t> out;
-  if (values_.empty() || probes.empty()) return out;
-  out.reserve(std::min(probes.size(), values_.size()));
+  if (size_ == 0 || probes.empty()) return out;
+  // Every probe is written at the next output slot, which only a match
+  // keeps: the slot never runs ahead of the probe's own position.
+  out.resize(probes.size());
+  const uint32_t largest = values_[size_ - 1];
+  size_t matches = 0;
   size_t partition = 0;
+  size_t block = 0;  // monotone cursor: first position of a block
   for (const uint32_t value : probes) {
-    if (value > values_.back()) break;
+    if (value > largest) break;
     partition = FindPartition(value, partition);
-    if (partition >= partition_max_.size()) break;
-    const size_t begin = partition * kPartitionWidth;
-    const size_t end = std::min(values_.size(), begin + kPartitionWidth);
-    if (std::binary_search(values_.begin() + static_cast<ptrdiff_t>(begin),
-                           values_.begin() + static_cast<ptrdiff_t>(end),
-                           value)) {
-      out.push_back(value);
+    // The partition's maximum (or the padding after a short last slice)
+    // ends its last block, so the skip stays inside the partition.
+    block = std::max(block, partition * kPartitionWidth);
+    while (values_[block + kBlockWidth - 1] < value) block += kBlockWidth;
+    // The block holds the probe's lower bound: count its values below
+    // the probe, one compare per lane and no branch.
+    const uint32_t* lanes = values_.data() + block;
+    uint32_t below = 0;
+    for (uint32_t lane = 0; lane < kBlockWidth; ++lane) {
+      below += lanes[lane] < value ? 1u : 0u;
     }
+    out[matches] = value;
+    matches += lanes[below] == value ? 1u : 0u;
   }
+  out.resize(matches);
   return out;
 }
 

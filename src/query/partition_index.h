@@ -10,21 +10,27 @@ namespace dba::query {
 /// A hierarchical skip/partition structure over one sorted duplicate-free
 /// uint32 set, following Ding & Koenig's "Fast Set Intersection in
 /// Memory": probing a value touches a small directory, one partition
-/// summary, and a binary search within a fixed-width partition instead
+/// summary, and one 16-value block of a fixed-width partition instead
 /// of walking the whole set. Three levels:
 ///
 ///   level 0  directory: value >> shift -> first candidate partition
 ///            (radix over the value domain, O(1))
 ///   level 1  partition summaries: the maximum value of each
 ///            kPartitionWidth-element slice (linear skip, short)
-///   level 2  the slice itself (binary search, log2(kPartitionWidth))
+///   level 2  the slice itself, in kBlockWidth-value blocks: a skip to
+///            the block that holds the probe's lower bound, then a
+///            count of that block's values below the probe with one
+///            compare per value and no branch (Lemire et al.'s
+///            branch-free searches, PAPERS.md)
 ///
-/// Intersect() streams a sorted probe set through the index with a
-/// monotone partition cursor, so the cost is
-/// O(|probes| * (1 + log2 kPartitionWidth)) -- the partition-probe route
-/// of the query planner (docs/PLANNER.md). Building is one O(n) pass;
-/// whether that pass is worth paying is the engine's savings-accounting
-/// decision (PartitionSavingsMeter), not the index's.
+/// Intersect() streams a sorted probe set through the index with
+/// monotone partition and block cursors, so a probe costs a directory
+/// look-up, short skips (at most kPartitionWidth / kBlockWidth blocks
+/// per slice, shared by all the slice's probes) and kBlockWidth
+/// compares -- the partition-probe route of the query planner
+/// (docs/PLANNER.md). Building is one O(n) pass; whether that pass is
+/// worth paying is the engine's savings-accounting decision
+/// (PartitionSavingsMeter), not the index's.
 class PartitionIndex {
  public:
   /// Elements per level-2 slice. 256 keeps a slice within a few cache
@@ -38,7 +44,7 @@ class PartitionIndex {
 
   PartitionIndex() = default;
 
-  size_t size() const { return values_.size(); }
+  size_t size() const { return size_; }
   size_t num_partitions() const { return partition_max_.size(); }
   size_t directory_size() const { return directory_.size(); }
 
@@ -50,14 +56,23 @@ class PartitionIndex {
   std::vector<uint32_t> Intersect(std::span<const uint32_t> probes) const;
 
   /// The indexed set itself (for verification and fallback paths).
-  std::span<const uint32_t> values() const { return values_; }
+  std::span<const uint32_t> values() const {
+    return std::span<const uint32_t>(values_).first(size_);
+  }
 
  private:
+  /// Values per level-2 block: one probe compares itself with every
+  /// value of one block.
+  static constexpr uint32_t kBlockWidth = 16;
+
   /// Index of the first partition whose maximum is >= value, starting
   /// the scan at `from` (monotone cursor for sorted probe streams).
   size_t FindPartition(uint32_t value, size_t from) const;
 
-  std::vector<uint32_t> values_;         // the indexed sorted set
+  // The indexed sorted set, padded with 0xFFFFFFFF to whole blocks so
+  // every block holds kBlockWidth readable values.
+  std::vector<uint32_t> values_;
+  size_t size_ = 0;                      // indexed values, padding excluded
   std::vector<uint32_t> partition_max_;  // level 1: max of each slice
   std::vector<uint32_t> directory_;      // level 0: radix -> partition
   uint32_t shift_ = 32;                  // directory radix shift

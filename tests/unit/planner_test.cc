@@ -88,6 +88,78 @@ TEST(PartitionIndexTest, DenseDomainGetsMultiPartitionStructure) {
             baseline::ScalarIntersect(probes, values));
 }
 
+// Every edge of the index's layout, on sets small enough to enumerate:
+// sizes 0-40 (under one 16-value block up to several, one short slice),
+// 250-290 (the 256-value slice edge) and 500-530 (a short last slice
+// after two full ones), placed near 0, straddling 2^31 (where a signed
+// 32-bit compare would misorder the values) and ending at 0xFFFFFFFF.
+// Probes are each 16-value block's last value, each slice's maximum,
+// their neighbours, and values below the first and past the last, as
+// one sorted stream and one at a time (a fresh cursor per probe).
+TEST(PartitionIndexTest, SmallScopeMatchesScalar) {
+  constexpr size_t kBlock = 16;
+  const size_t slice = PartitionIndex::kPartitionWidth;
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (size_t n = 250; n <= 290; ++n) sizes.push_back(n);
+  for (size_t n = 500; n <= 530; ++n) sizes.push_back(n);
+  Random rng(2601);
+  for (const size_t n : sizes) {
+    // Gaps of 1-3 leave non-members between members; the three starts
+    // put the set near 0, across 2^31, and against 0xFFFFFFFF.
+    std::vector<uint32_t> gaps(n);
+    uint64_t span = 0;
+    for (uint32_t& gap : gaps) {
+      gap = 1 + static_cast<uint32_t>(rng.Uniform(3));
+      span += gap;
+    }
+    const uint64_t starts[] = {rng.Uniform(3), (uint64_t{1} << 31) - span / 2,
+                               (uint64_t{1} << 32) - span};
+    for (const uint64_t start : starts) {
+      std::vector<uint32_t> values;
+      uint64_t value = start;
+      for (const uint32_t gap : gaps) {
+        value += gap;
+        values.push_back(static_cast<uint32_t>(value - 1));
+      }
+      // Signed 64-bit, so the neighbours of 0 and 0xFFFFFFFF fit.
+      std::vector<int64_t> edges = {0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF};
+      if (!values.empty()) {
+        edges.push_back(int64_t{values.front()} - 1);  // below the first
+        edges.push_back(int64_t{values.back()} + 1);   // past the last
+      }
+      for (size_t end = kBlock; end < n + kBlock; end += kBlock) {
+        edges.push_back(values[std::min(end, n) - 1]);  // block's last
+      }
+      for (size_t end = slice; end < n + slice; end += slice) {
+        edges.push_back(values[std::min(end, n) - 1]);  // slice maximum
+      }
+      std::vector<uint32_t> probes;
+      for (const int64_t edge : edges) {
+        for (const int64_t probe : {edge - 1, edge, edge + 1}) {
+          if (probe >= 0 && probe <= 0xFFFFFFFF) {
+            probes.push_back(static_cast<uint32_t>(probe));
+          }
+        }
+      }
+      std::sort(probes.begin(), probes.end());
+      probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+      const PartitionIndex index = PartitionIndex::Build(values);
+      ASSERT_EQ(index.size(), n);
+      EXPECT_EQ(index.Intersect(probes),
+                baseline::ScalarIntersect(probes, values))
+          << "size " << n << ", first value " << start;
+      for (const uint32_t probe : probes) {
+        const std::vector<uint32_t> one = {probe};
+        EXPECT_EQ(index.Intersect(one), baseline::ScalarIntersect(one, values))
+            << "size " << n << ", first value " << start << ", probe "
+            << probe;
+      }
+    }
+  }
+}
+
 // --- PartitionSavingsMeter ---
 
 TEST(SavingsMeterTest, TripsExactlyAtPayback) {

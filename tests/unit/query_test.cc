@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "obs/metrics/metrics.h"
@@ -131,6 +137,94 @@ TEST(SecondaryIndexTest, ProbesReturnSortedRids) {
         }
         EXPECT_EQ(big_index->ProbeRange(lo, hi), expected)
             << "version " << version << ", [" << lo << ", " << hi << "]";
+      }
+    }
+  }
+}
+
+// Build against a std::stable_sort of the RIDs by value, over columns of
+// 1, 2, 17 and 20000 rows and domains from one value to the full uint32
+// range: a column that keeps every digit, one that differs in the low
+// digit only, and ones whose values differ in two, three or all four
+// digits (0, 0x7FFFFFFF, 0x80000000 and 0xFFFFFFFF present in the
+// full-range columns). Every distinct value, seeded random ranges and
+// the extremes must probe as the reference does, before and after an
+// UpdateColumn.
+TEST(SecondaryIndexTest, BuildMatchesStableSortReference) {
+  constexpr uint64_t kFullRange = uint64_t{1} << 32;
+  const uint32_t extremes[] = {0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF};
+  Random rng(2602);
+  for (const uint32_t rows : {1u, 2u, 17u, 20000u}) {
+    for (const uint64_t domain : {uint64_t{1}, uint64_t{2}, uint64_t{7},
+                                  uint64_t{257}, uint64_t{65537},
+                                  kFullRange}) {
+      auto column = [&] {
+        std::vector<uint32_t> values(rows);
+        for (uint32_t& value : values) {
+          value = static_cast<uint32_t>(rng.Uniform(domain));
+        }
+        if (domain == kFullRange) {
+          const size_t planted = std::min<size_t>(std::size(extremes), rows);
+          for (size_t i = 0; i < planted; ++i) {
+            values[i * rows / planted] = extremes[i];
+          }
+        }
+        return values;
+      };
+      Table table("t");
+      ASSERT_TRUE(table.AddColumn("k", column()).ok());
+      for (int version = 0; version < 2; ++version) {
+        if (version == 1) {
+          ASSERT_TRUE(table.UpdateColumn("k", column()).ok());
+        }
+        const std::span<const uint32_t> values = *table.Column("k");
+        std::vector<Rid> order(rows);
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(), [&](Rid x, Rid y) {
+          return values[x] < values[y];
+        });
+        std::vector<uint32_t> sorted(rows);
+        for (size_t i = 0; i < rows; ++i) sorted[i] = values[order[i]];
+        // The reference answer: the RIDs of [lo, hi], sorted.
+        auto expected = [&](uint32_t lo, uint32_t hi) {
+          if (lo > hi) return std::vector<Rid>{};
+          const auto begin =
+              std::lower_bound(sorted.begin(), sorted.end(), lo) -
+              sorted.begin();
+          const auto end =
+              std::upper_bound(sorted.begin(), sorted.end(), hi) -
+              sorted.begin();
+          std::vector<Rid> rids(order.begin() + begin, order.begin() + end);
+          std::sort(rids.begin(), rids.end());
+          return rids;
+        };
+        const std::string where = "rows " + std::to_string(rows) +
+                                  ", domain " + std::to_string(domain) +
+                                  ", version " + std::to_string(version);
+
+        auto index = SecondaryIndex::Build(table, "k");
+        ASSERT_TRUE(index.ok()) << where;
+        EXPECT_EQ(index->num_entries(), rows) << where;
+        EXPECT_EQ(*index->MinValue(), sorted.front()) << where;
+        EXPECT_EQ(*index->MaxValue(), sorted.back()) << where;
+        for (size_t i = 0; i < rows; ++i) {
+          if (i > 0 && sorted[i] == sorted[i - 1]) continue;
+          ASSERT_EQ(index->ProbeEquals(sorted[i]),
+                    expected(sorted[i], sorted[i]))
+              << where << ", value " << sorted[i];
+        }
+        for (int range = 0; range < 64; ++range) {
+          const auto lo = static_cast<uint32_t>(rng.Uniform(domain));
+          const auto hi = static_cast<uint32_t>(rng.Uniform(domain));
+          EXPECT_EQ(index->ProbeRange(lo, hi), expected(lo, hi))
+              << where << ", [" << lo << ", " << hi << "]";
+        }
+        for (const uint32_t lo : extremes) {
+          for (const uint32_t hi : extremes) {
+            EXPECT_EQ(index->ProbeRange(lo, hi), expected(lo, hi))
+                << where << ", [" << lo << ", " << hi << "]";
+          }
+        }
       }
     }
   }
