@@ -38,6 +38,19 @@ Result<std::span<const uint32_t>> EmptyOperandResult(
                                  std::to_string(static_cast<int>(mode)));
 }
 
+size_t MaxResultSize(SopMode mode, size_t na, size_t nb) {
+  switch (mode) {
+    case SopMode::kIntersect:
+      return std::min(na, nb);
+    case SopMode::kDifference:
+      return na;
+    case SopMode::kUnion:
+    case SopMode::kMerge:
+      break;
+  }
+  return na + nb;
+}
+
 Status ValidateOperands(SopMode mode, std::span<const uint32_t> a,
                         std::span<const uint32_t> b) {
   if (mode > SopMode::kMerge) return EmptyOperandResult(mode, a, b).status();

@@ -2,6 +2,7 @@
 #define DBA_EIS_SOP_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -31,6 +32,13 @@ std::string_view SopModeName(SopMode mode);
 /// InvalidArgument for a value outside SopMode.
 Result<std::span<const uint32_t>> EmptyOperandResult(
     SopMode mode, std::span<const uint32_t> a, std::span<const uint32_t> b);
+
+/// The most elements `mode` can return for operands of `na` and `nb`
+/// elements: intersect min(na, nb), difference na, union and merge
+/// na + nb (a value outside SopMode gets na + nb too). The streamed set
+/// operation reserves this many, and board partition verification
+/// rejects a larger result.
+size_t MaxResultSize(SopMode mode, size_t na, size_t nb);
 
 /// The input contract of `mode`, checked by Processor and by the query
 /// service's Submit: strictly increasing operands for intersect, union

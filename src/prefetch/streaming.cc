@@ -10,20 +10,6 @@ namespace {
 /// instructions: 2 port cycles + loop per 4-element beat.
 uint64_t CopyCycles(size_t elements) { return 3 * ((elements + 3) / 4); }
 
-/// The most elements `op` can return for inputs of `na` and `nb`.
-size_t OutputBound(SetOp op, size_t na, size_t nb) {
-  switch (op) {
-    case SetOp::kIntersect:
-      return std::min(na, nb);
-    case SetOp::kDifference:
-      return na;
-    case SetOp::kUnion:
-    case SetOp::kMerge:
-      break;
-  }
-  return na + nb;
-}
-
 }  // namespace
 
 StreamingSetOperation::StreamingSetOperation(Processor* processor,
@@ -46,7 +32,7 @@ Result<StreamingRun> StreamingSetOperation::Run(SetOp op,
                                                 std::span<const uint32_t> a,
                                                 std::span<const uint32_t> b) {
   StreamingRun run;
-  run.result.reserve(OutputBound(op, a.size(), b.size()));
+  run.result.reserve(eis::MaxResultSize(op, a.size(), b.size()));
   size_t ia = 0;
   size_t ib = 0;
 

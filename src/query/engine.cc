@@ -178,34 +178,8 @@ Status QueryEngine::BuildIndex(const std::string& column) {
   DBA_ASSIGN_OR_RETURN(SecondaryIndex index,
                        SecondaryIndex::Build(*table_, column));
   DBA_ASSIGN_OR_RETURN(const uint64_t version, table_->ColumnVersion(column));
-  indexes_.erase(column);
-  indexes_.emplace(column, std::move(index));
-  index_versions_[column] = version;
-  return Status::Ok();
-}
-
-Status QueryEngine::RefreshIndexIfStale(const std::string& column) {
-  if (indexes_.find(column) == indexes_.end()) return Status::Ok();
-  DBA_ASSIGN_OR_RETURN(const uint64_t current, table_->ColumnVersion(column));
-  const auto built = index_versions_.find(column);
-  if (built != index_versions_.end() && built->second == current) {
-    return Status::Ok();
-  }
-  DBA_RETURN_IF_ERROR(BuildIndex(column));
-  // Partition indexes are keyed by probe signature ("column:lo:hi"):
-  // every cached index over the stale column covers old data, as does
-  // its savings meter -- drop them and let the lazy machinery restart.
-  const std::string prefix = column + ":";
-  for (auto it = partition_indexes_.begin();
-       it != partition_indexes_.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
-      it = partition_indexes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  savings_.erase(column);
-  index_state_.erase(column);
+  columns_.insert_or_assign(column,
+                            IndexedColumn{std::move(index), version, {}});
   return Status::Ok();
 }
 
@@ -239,35 +213,35 @@ QueryEngine::RunAttempts(std::string_view fault_key,
 
 Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
                                                 QueryStats* stats) {
-  DBA_RETURN_IF_ERROR(RefreshIndexIfStale(leaf.column));
-  auto it = indexes_.find(leaf.column);
-  if (it == indexes_.end()) {
+  auto it = columns_.find(leaf.column);
+  if (it == columns_.end()) {
     return Status::FailedPrecondition(
         "no secondary index on column '" + leaf.column +
         "'; call BuildIndex first");
   }
+  // An index over a column version the table has since moved past is
+  // rebuilt, and with it goes everything derived from the old data.
+  DBA_ASSIGN_OR_RETURN(const uint64_t version,
+                       table_->ColumnVersion(leaf.column));
+  if (it->second.version != version) {
+    DBA_RETURN_IF_ERROR(BuildIndex(leaf.column));
+  }
   Operand out;
-  uint32_t lo = leaf.lo;
-  uint32_t hi = leaf.hi;
+  out.column = &it->second;
   switch (leaf.kind) {
     case Predicate::Kind::kEquals:
-      out.rids = it->second.ProbeEquals(leaf.lo);
-      hi = leaf.lo;
+      out.rids = out.column->index.ProbeEquals(leaf.lo);
+      out.range = {leaf.lo, leaf.lo};
       break;
     case Predicate::Kind::kBetween:
     case Predicate::Kind::kLessEq:
     case Predicate::Kind::kGreaterEq:
-      out.rids = it->second.ProbeRange(leaf.lo, leaf.hi);
+      out.rids = out.column->index.ProbeRange(leaf.lo, leaf.hi);
+      out.range = {leaf.lo, leaf.hi};
       break;
     default:
       return Status::Internal("Probe called on a non-leaf predicate");
   }
-  // Provenance for the planner: the source column (savings accounting)
-  // and a probe signature (the index cache key -- the table is
-  // immutable, so identical signatures yield identical RID sets).
-  out.column = leaf.column;
-  out.probe_key =
-      leaf.column + ":" + std::to_string(lo) + ":" + std::to_string(hi);
   QueryStats step;
   step.index_probes = 1;
   step.plan.push_back("probe " + leaf.ToString() + " -> " +
@@ -361,9 +335,9 @@ QueryEngine::PlannedIntersect QueryEngine::PlanIntersect(const OperandView& a,
 
   // A cached index over the larger operand's exact RID set?
   const PartitionIndex* index = nullptr;
-  if (!large.probe_key.empty()) {
-    auto it = partition_indexes_.find(std::string(large.probe_key));
-    if (it != partition_indexes_.end()) index = &it->second;
+  if (large.column != nullptr) {
+    auto it = large.column->lazy.by_range.find(large.range);
+    if (it != large.column->lazy.by_range.end()) index = &it->second;
   }
 
   const Clock::time_point decide_begin = Clock::now();
@@ -376,40 +350,37 @@ QueryEngine::PlannedIntersect QueryEngine::PlanIntersect(const OperandView& a,
   // operand, record what the partition-probe route would have saved over
   // the chosen route; once a column's accumulated missed savings reach
   // payback_factor * build_cost, materialize the index and charge it.
-  if (index == nullptr && !decision.forced && !large.column.empty() &&
-      !large.probe_key.empty() && planner_->options().allow_partition_index) {
+  if (index == nullptr && !decision.forced && large.column != nullptr &&
+      planner_->options().allow_partition_index) {
     const double build_cost_ns = model.PartitionBuildNs(large.rids.size());
     const double savings_ns =
         decision.chosen_ns -
         model.PartitionProbeNs(a.rids.size(), b.rids.size()) -
         model.decision_ns;
-    const std::string column(large.column);
-    PartitionSavingsMeter& meter = savings_[column];
-    const bool payback = meter.RecordMiss(savings_ns, build_cost_ns,
-                                          planner_->options().payback_factor);
-    ColumnIndexState& state = index_state_[column];
-    state.build_cost_ns = build_cost_ns;
-    state.misses_recorded = meter.misses_recorded();
+    IndexedColumn::LazyIndexes& lazy = large.column->lazy;
+    const bool payback = lazy.meter.RecordMiss(
+        savings_ns, build_cost_ns, planner_->options().payback_factor);
+    lazy.state.build_cost_ns = build_cost_ns;
+    lazy.state.misses_recorded = lazy.meter.misses_recorded();
     if (payback) {
       PartitionIndex built = PartitionIndex::Build(large.rids);
-      meter.ChargeBuild(build_cost_ns);
-      ++state.indexes_built;
-      state.indexed_entries += built.size();
-      auto [it, inserted] =
-          partition_indexes_.emplace(std::string(large.probe_key),
-                                     std::move(built));
-      index = &it->second;
+      lazy.meter.ChargeBuild(build_cost_ns);
+      ++lazy.state.indexes_built;
+      lazy.state.indexed_entries += built.size();
+      index = &lazy.by_range.emplace(large.range, std::move(built))
+                   .first->second;
       decision.route = Route::kPartitionProbe;
       decision.index_available = true;
       decision.chosen_ns =
           decision.estimated_ns[static_cast<size_t>(Route::kPartitionProbe)];
       QueryStats build;
       build.partition_index_builds = 1;
-      build.plan.push_back("build partition index on " + column + " (" +
+      build.plan.push_back("build partition index on " +
+                           large.column->index.column_name() + " (" +
                            std::to_string(large.rids.size()) + " entries)");
       Book(stats, std::move(build));
     }
-    state.missed_savings_ns = meter.missed_savings_ns();
+    lazy.state.missed_savings_ns = lazy.meter.missed_savings_ns();
   }
   return {decision, index};
 }
@@ -500,22 +471,18 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
 
 void QueryEngine::EnableAdaptivePlanner(const PlannerOptions& options) {
   planner_ = std::make_unique<Planner>(options);
-  savings_.clear();
-  partition_indexes_.clear();
-  index_state_.clear();
+  for (auto& entry : columns_) entry.second.lazy = {};
 }
 
 void QueryEngine::DisableAdaptivePlanner() {
   planner_.reset();
-  savings_.clear();
-  partition_indexes_.clear();
-  index_state_.clear();
+  for (auto& entry : columns_) entry.second.lazy = {};
 }
 
 ColumnIndexState QueryEngine::partition_state(
     const std::string& column) const {
-  auto it = index_state_.find(column);
-  return it == index_state_.end() ? ColumnIndexState{} : it->second;
+  auto it = columns_.find(column);
+  return it == columns_.end() ? ColumnIndexState{} : it->second.lazy.state;
 }
 
 Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -69,14 +70,16 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Builds (or rebuilds) the secondary index for `column`.
+  /// Builds (or rebuilds) the secondary index for `column`. A rebuild
+  /// replaces the column's whole record: its lazy partition indexes and
+  /// savings state go with the old index, since they cover old data.
   Status BuildIndex(const std::string& column);
 
   /// Evaluates the WHERE clause: the sorted RID set of qualifying rows.
-  /// Every column referenced by `predicate` must have an index. Indexes
+  /// Every column referenced by `predicate` must have an index. An index
   /// built over a column version that the table has since mutated past
-  /// (Table::UpdateColumn) are rebuilt transparently before the probe,
-  /// and the column's lazy partition-index state is dropped with them.
+  /// (Table::UpdateColumn) is rebuilt through BuildIndex before the
+  /// probe, so the column's lazy partition-index state is dropped too.
   Result<std::vector<Rid>> Select(const Predicate& predicate,
                                   QueryStats* stats = nullptr);
 
@@ -142,37 +145,53 @@ class QueryEngine {
   }
 
  private:
-  /// A sorted RID set plus its provenance: leaf probes carry the source
-  /// column and a probe signature ("column:lo:hi") so the planner's
-  /// savings accounting and index cache can recognize repeated work;
-  /// derived sets (set-op results, complements) are anonymous.
+  /// The [lo, hi] value range of one leaf probe.
+  using ProbedRange = std::pair<uint32_t, uint32_t>;
+
+  /// Everything the engine derives from one indexed column. BuildIndex
+  /// replaces the whole record, so nothing derived from a column
+  /// outlives its index.
+  struct IndexedColumn {
+    SecondaryIndex index;
+    uint64_t version = 0;  // the column version `index` was built from
+    /// The planner's lazy-index state (reset by Enable/
+    /// DisableAdaptivePlanner): the savings meter, its inspection
+    /// surface, and the PartitionIndexes built over probe results of
+    /// this column, keyed by the probed range.
+    struct LazyIndexes {
+      PartitionSavingsMeter meter;
+      ColumnIndexState state;
+      std::map<ProbedRange, PartitionIndex> by_range;
+    } lazy;
+  };
+
+  /// A sorted RID set plus its provenance: a leaf probe carries its
+  /// column's record and the probed [lo, hi] so the planner's savings
+  /// accounting and index cache can recognize repeated work (a probe of
+  /// a changed column replaces its record first, so equal ranges on one
+  /// record yield equal RID sets); derived sets (set-op results,
+  /// complements) are anonymous. The record pointer stays valid for the
+  /// query: records live in std::map nodes, and BuildIndex assigns into
+  /// an existing node.
   struct Operand {
     std::vector<Rid> rids;
-    std::string column;     // "" = not attributable to one column
-    std::string probe_key;  // "" = not cacheable
+    IndexedColumn* column = nullptr;  // null = not one leaf probe
+    ProbedRange range{};
   };
 
   /// Non-owning view of an operand; implicitly built from an Operand or
   /// a bare RID vector (anonymous provenance).
   struct OperandView {
     std::span<const Rid> rids;
-    std::string_view column;
-    std::string_view probe_key;
+    IndexedColumn* column = nullptr;
+    ProbedRange range{};
     OperandView(const Operand& operand)  // NOLINT
-        : rids(operand.rids),
-          column(operand.column),
-          probe_key(operand.probe_key) {}
+        : rids(operand.rids), column(operand.column), range(operand.range) {}
     OperandView(const std::vector<Rid>& plain) : rids(plain) {}  // NOLINT
   };
 
   Result<Operand> Evaluate(const Predicate& predicate, QueryStats* stats);
   Result<Operand> Probe(const Predicate& leaf, QueryStats* stats);
-
-  /// Rebuilds the secondary index on `column` when the table's column
-  /// version moved past the version the index was built from, dropping
-  /// the column's partition indexes and savings state (they cover the
-  /// old data). No-op when the column has no index yet.
-  Status RefreshIndexIfStale(const std::string& column);
 
   /// The one attempt ladder (SetMaxAttempts) every step runs through:
   /// attempt k consults the fault hook under `fault_key` ("" = none),
@@ -218,14 +237,8 @@ class QueryEngine {
   RunSettings run_settings_;
   int max_attempts_ = 1;
   fault::AttemptFaultHook attempt_fault_hook_;
-  std::map<std::string, SecondaryIndex> indexes_;
-  std::map<std::string, uint64_t> index_versions_;  // column version built
-
-  // --- Adaptive planner state (null/empty while disabled) ---
-  std::unique_ptr<Planner> planner_;
-  std::map<std::string, PartitionSavingsMeter> savings_;      // by column
-  std::map<std::string, PartitionIndex> partition_indexes_;   // by probe_key
-  std::map<std::string, ColumnIndexState> index_state_;       // by column
+  std::map<std::string, IndexedColumn> columns_;  // by column name
+  std::unique_ptr<Planner> planner_;  // null while the planner is off
 };
 
 }  // namespace dba::query

@@ -278,21 +278,8 @@ Status Board::VerifyPartitionResult(const PartitionWork& part,
           std::to_string(part.a.size()));
     }
   } else {
-    size_t max_size = 0;
-    switch (part.op) {
-      case SetOp::kIntersect:
-        max_size = std::min(part.a.size(), part.b.size());
-        break;
-      case SetOp::kUnion:
-        max_size = part.a.size() + part.b.size();
-        break;
-      case SetOp::kDifference:
-        max_size = part.a.size();
-        break;
-      default:
-        max_size = part.a.size() + part.b.size();
-        break;
-    }
+    const size_t max_size =
+        eis::MaxResultSize(part.op, part.a.size(), part.b.size());
     if (result.size() > max_size) {
       return Status::DataLoss(
           "partition verification: result size " +

@@ -191,6 +191,29 @@ TEST(SopMergeTest, EmitsLowerFourOfFullWindows) {
   EXPECT_EQ(outcome.consume_b, 2);
 }
 
+// --- Result-size rule ---
+
+TEST(SopResultSizeTest, MaxResultSizePerMode) {
+  struct Case {
+    SopMode mode;
+    size_t na;
+    size_t nb;
+    size_t max;
+  };
+  const Case cases[] = {
+      {SopMode::kIntersect, 5, 3, 3},  {SopMode::kIntersect, 2, 7, 2},
+      {SopMode::kIntersect, 0, 4, 0},  {SopMode::kDifference, 5, 3, 5},
+      {SopMode::kDifference, 2, 7, 2}, {SopMode::kDifference, 0, 4, 0},
+      {SopMode::kUnion, 5, 3, 8},      {SopMode::kUnion, 0, 4, 4},
+      {SopMode::kMerge, 5, 3, 8},      {SopMode::kMerge, 4, 0, 4},
+      {static_cast<SopMode>(4), 5, 3, 8},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(MaxResultSize(c.mode, c.na, c.nb), c.max)
+        << static_cast<int>(c.mode) << ": " << c.na << " x " << c.nb;
+  }
+}
+
 // --- ComputeSop invariants (randomized) ---
 
 TEST(SopInvariantsTest, RandomizedWindows) {

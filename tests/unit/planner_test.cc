@@ -687,5 +687,84 @@ TEST_F(PlannerEngineTest, DisableRestoresAlwaysEis) {
   EXPECT_GT(stats.accelerator_cycles, 0u);
 }
 
+// Regression: BuildIndex used to replace a column's secondary index but
+// keep the partition indexes cached over its old probe results, so the
+// next planned intersection probed the old RIDs.
+TEST_F(PlannerEngineTest, BuildIndexDropsTheColumnsPartitionIndexes) {
+  auto engine = MakeEngine();
+  PlannerOptions eager = TestPlannerOptions();
+  eager.payback_factor = 0.0;
+  engine->EnableAdaptivePlanner(eager);
+  // amount <= 120 is the selective leaf; region = 1 the broad one, over
+  // which the first planned miss builds a partition index.
+  const auto predicate = And(Equals("region", 1), LessEq("amount", 120));
+  QueryStats first;
+  ASSERT_TRUE(engine->Select(*predicate, &first).ok());
+  ASSERT_EQ(first.partition_index_builds, 1u);
+
+  // Every row moves to the next region, so region = 1 matches new rows.
+  const std::span<const uint32_t> old_region = *table_.Column("region");
+  std::vector<uint32_t> region(old_region.begin(), old_region.end());
+  for (uint32_t& value : region) value = (value + 1) % 5;
+  ASSERT_TRUE(table_.UpdateColumn("region", std::move(region)).ok());
+  ASSERT_TRUE(engine->BuildIndex("region").ok());
+
+  std::vector<Rid> scan;
+  const std::span<const uint32_t> regions = *table_.Column("region");
+  const std::span<const uint32_t> amounts = *table_.Column("amount");
+  for (Rid rid = 0; rid < table_.num_rows(); ++rid) {
+    if (regions[rid] == 1 && amounts[rid] <= 120) scan.push_back(rid);
+  }
+  QueryStats after;
+  auto rids = engine->Select(*predicate, &after);
+  ASSERT_TRUE(rids.ok()) << rids.status();
+  EXPECT_EQ(*rids, scan);
+  EXPECT_EQ(after.partition_index_builds, 1u);
+}
+
+// Regression: refreshing a stale column used to drop the cached
+// partition indexes of every column whose name starts with
+// "<column>:", so column "a:b" rebuilt its index after "a" changed.
+TEST_F(PlannerEngineTest, UpdatingAColumnKeepsOtherColumnsPartitionIndexes) {
+  Random rng(91);
+  std::vector<uint32_t> a(4000);
+  std::vector<uint32_t> ab(4000);
+  std::vector<uint32_t> selective(4000);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<uint32_t>(rng.Uniform(5));
+    ab[i] = static_cast<uint32_t>(rng.Uniform(5));
+    selective[i] = static_cast<uint32_t>(rng.Uniform(10000));
+  }
+  Table table("prefixed");
+  ASSERT_TRUE(table.AddColumn("a", a).ok());
+  ASSERT_TRUE(table.AddColumn("a:b", std::move(ab)).ok());
+  ASSERT_TRUE(table.AddColumn("s", std::move(selective)).ok());
+  QueryEngine engine(&table, processor_.get());
+  for (const char* column : {"a", "a:b", "s"}) {
+    ASSERT_TRUE(engine.BuildIndex(column).ok()) << column;
+  }
+  PlannerOptions eager = TestPlannerOptions();
+  eager.payback_factor = 0.0;
+  engine.EnableAdaptivePlanner(eager);
+
+  const auto predicate = And(Equals("a:b", 1), LessEq("s", 120));
+  QueryStats built;
+  ASSERT_TRUE(engine.Select(*predicate, &built).ok());
+  ASSERT_EQ(built.partition_index_builds, 1u);
+  ASSERT_EQ(engine.partition_state("a:b").indexes_built, 1u);
+
+  for (uint32_t& value : a) value = (value + 1) % 5;
+  ASSERT_TRUE(table.UpdateColumn("a", std::move(a)).ok());
+  ASSERT_TRUE(engine.Select(*Equals("a", 1)).ok());
+
+  QueryStats reused;
+  ASSERT_TRUE(engine.Select(*predicate, &reused).ok());
+  EXPECT_EQ(reused.partition_index_builds, 0u);
+  EXPECT_GT(reused.planned_ops, 0u);
+  EXPECT_EQ(reused.route_counts[static_cast<size_t>(Route::kPartitionProbe)],
+            reused.planned_ops);
+  EXPECT_EQ(engine.partition_state("a:b").indexes_built, 1u);
+}
+
 }  // namespace
 }  // namespace dba::query

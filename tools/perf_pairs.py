@@ -31,6 +31,10 @@ the change median's move against the parent median, and
 followed by `gain` when, over ten or more pairs, the change wins at
 least nine in ten and its median is better than the parent's by more
 than the parent's quartile spread.
+
+Every end-to-end metric on the modeled clock (the report's `clock`) is
+deterministic per seed, so it is also compared pair by pair: the last
+lines say "identical on all N seeds" or name the seeds that differ.
 """
 
 import argparse
@@ -75,6 +79,7 @@ def run_side(checkout, workload, seed, seconds):
     return {
         "metrics": {name: m["value"] for name, m in report["metrics"].items()},
         "better": {name: m["better"] for name, m in report["metrics"].items()},
+        "clock": {name: m["clock"] for name, m in report["metrics"].items()},
         "info": report["info"],
         "failed": report["failed"],
         "attempted": report["attempted"],
@@ -206,6 +211,16 @@ def main():
                                      metric["better"], metric["bound"])
         print(f"{name:24s} {metric['better']:7s} {metric['bound']:7.1%} "
               f"{move:+9.2%} {spread:9.2%}  {text}")
+    for metric in end_to_end:
+        name = metric["name"]
+        if first["clock"].get(name) != "modeled":
+            continue
+        differ = [str(p["seed"])
+                  for p, c in zip(runs["parent"], runs["change"])
+                  if p["metrics"][name] != c["metrics"][name]]
+        print(f"{name}: " + (f"differs on seeds {', '.join(differ)}"
+                             if differ else
+                             f"identical on all {pairs} seeds"))
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seconds": args.seconds,
