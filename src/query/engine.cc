@@ -211,6 +211,23 @@ QueryEngine::RunAttempts(std::string_view fault_key,
   }
 }
 
+QueryEngine::Operand::Operand(IndexedColumn* column, ProbedRange range)
+    : column_(column), range_(range) {
+  const SecondaryIndex::Slice slice =
+      column->index.Lookup(range.first, range.second);
+  if (slice.single_value) {
+    rids_ = slice.rids;
+  } else {
+    owned_ = slice.SortedCopy();
+    rids_ = owned_;
+  }
+}
+
+std::vector<Rid> QueryEngine::Operand::Release() && {
+  if (rids_.data() == owned_.data()) return std::move(owned_);
+  return std::vector<Rid>(rids_.begin(), rids_.end());
+}
+
 Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
                                                 QueryStats* stats) {
   auto it = columns_.find(leaf.column);
@@ -221,31 +238,30 @@ Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
   }
   // An index over a column version the table has since moved past is
   // rebuilt, and with it goes everything derived from the old data.
+  // This is the only rebuild within a Select (see Operand).
   DBA_ASSIGN_OR_RETURN(const uint64_t version,
                        table_->ColumnVersion(leaf.column));
   if (it->second.version != version) {
     DBA_RETURN_IF_ERROR(BuildIndex(leaf.column));
   }
-  Operand out;
-  out.column = &it->second;
+  ProbedRange range;
   switch (leaf.kind) {
     case Predicate::Kind::kEquals:
-      out.rids = out.column->index.ProbeEquals(leaf.lo);
-      out.range = {leaf.lo, leaf.lo};
+      range = {leaf.lo, leaf.lo};
       break;
     case Predicate::Kind::kBetween:
     case Predicate::Kind::kLessEq:
     case Predicate::Kind::kGreaterEq:
-      out.rids = out.column->index.ProbeRange(leaf.lo, leaf.hi);
-      out.range = {leaf.lo, leaf.hi};
+      range = {leaf.lo, leaf.hi};
       break;
     default:
       return Status::Internal("Probe called on a non-leaf predicate");
   }
+  Operand out(&it->second, range);
   QueryStats step;
   step.index_probes = 1;
   step.plan.push_back("probe " + leaf.ToString() + " -> " +
-                      std::to_string(out.rids.size()) + " RIDs");
+                      std::to_string(out.rids().size()) + " RIDs");
   Book(stats, std::move(step));
   return out;
 }
@@ -360,13 +376,12 @@ QueryEngine::PlannedIntersect QueryEngine::PlanIntersect(const OperandView& a,
     IndexedColumn::LazyIndexes& lazy = large.column->lazy;
     const bool payback = lazy.meter.RecordMiss(
         savings_ns, build_cost_ns, planner_->options().payback_factor);
-    lazy.state.build_cost_ns = build_cost_ns;
-    lazy.state.misses_recorded = lazy.meter.misses_recorded();
+    lazy.build_cost_ns = build_cost_ns;
     if (payback) {
       PartitionIndex built = PartitionIndex::Build(large.rids);
       lazy.meter.ChargeBuild(build_cost_ns);
-      ++lazy.state.indexes_built;
-      lazy.state.indexed_entries += built.size();
+      ++lazy.indexes_built;
+      lazy.indexed_entries += built.size();
       index = &lazy.by_range.emplace(large.range, std::move(built))
                    .first->second;
       decision.route = Route::kPartitionProbe;
@@ -380,16 +395,15 @@ QueryEngine::PlannedIntersect QueryEngine::PlanIntersect(const OperandView& a,
                            std::to_string(large.rids.size()) + " entries)");
       Book(stats, std::move(build));
     }
-    lazy.state.missed_savings_ns = lazy.meter.missed_savings_ns();
   }
   return {decision, index};
 }
 
-Result<std::vector<Rid>> QueryEngine::Complement(const std::vector<Rid>& rids,
+Result<std::vector<Rid>> QueryEngine::Complement(std::span<const Rid> rids,
                                                  QueryStats* stats) {
   std::vector<Rid> all(table_->num_rows());
   std::iota(all.begin(), all.end(), 0u);
-  return RunSetOp(SetOp::kDifference, all, rids, stats);
+  return RunSetOp(SetOp::kDifference, std::span<const Rid>(all), rids, stats);
 }
 
 Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
@@ -401,8 +415,8 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
       DBA_ASSIGN_OR_RETURN(Operand child,
                            Evaluate(*predicate.children[0], stats));
       DBA_ASSIGN_OR_RETURN(std::vector<Rid> rids,
-                           Complement(child.rids, stats));
-      return Operand{std::move(rids), {}, {}};
+                           Complement(child.rids(), stats));
+      return Operand(std::move(rids));
     }
     case Predicate::Kind::kAnd: {
       // Index ANDing (Raman et al. [31]): evaluate positive conjuncts,
@@ -423,19 +437,20 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
       }
       Operand accumulator;
       if (positives.empty()) {
-        accumulator.rids.resize(table_->num_rows());
-        std::iota(accumulator.rids.begin(), accumulator.rids.end(), 0u);
+        std::vector<Rid> all(table_->num_rows());
+        std::iota(all.begin(), all.end(), 0u);
+        accumulator = Operand(std::move(all));
       } else {
         std::sort(positives.begin(), positives.end(),
                   [](const Operand& x, const Operand& y) {
-                    return x.rids.size() < y.rids.size();
+                    return x.rids().size() < y.rids().size();
                   });
         accumulator = std::move(positives.front());
         for (size_t i = 1; i < positives.size(); ++i) {
           DBA_ASSIGN_OR_RETURN(
               std::vector<Rid> rids,
               RunSetOp(SetOp::kIntersect, accumulator, positives[i], stats));
-          accumulator = Operand{std::move(rids), {}, {}};
+          accumulator = Operand(std::move(rids));
         }
       }
       for (const Predicate* negative : negatives) {
@@ -443,7 +458,7 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
         DBA_ASSIGN_OR_RETURN(
             std::vector<Rid> rids,
             RunSetOp(SetOp::kDifference, accumulator, excluded, stats));
-        accumulator = Operand{std::move(rids), {}, {}};
+        accumulator = Operand(std::move(rids));
       }
       return accumulator;
     }
@@ -459,7 +474,7 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
           DBA_ASSIGN_OR_RETURN(
               std::vector<Rid> rids,
               RunSetOp(SetOp::kUnion, accumulator, operand, stats));
-          accumulator = Operand{std::move(rids), {}, {}};
+          accumulator = Operand(std::move(rids));
         }
       }
       return accumulator;
@@ -482,7 +497,13 @@ void QueryEngine::DisableAdaptivePlanner() {
 ColumnIndexState QueryEngine::partition_state(
     const std::string& column) const {
   auto it = columns_.find(column);
-  return it == columns_.end() ? ColumnIndexState{} : it->second.lazy.state;
+  if (it == columns_.end()) return {};
+  const IndexedColumn::LazyIndexes& lazy = it->second.lazy;
+  return {.missed_savings_ns = lazy.meter.missed_savings_ns(),
+          .build_cost_ns = lazy.build_cost_ns,
+          .misses_recorded = lazy.meter.misses_recorded(),
+          .indexes_built = lazy.indexes_built,
+          .indexed_entries = lazy.indexed_entries};
 }
 
 Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,
@@ -491,7 +512,7 @@ Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,
                   [&](QueryStats* s) -> Result<std::vector<Rid>> {
                     DBA_ASSIGN_OR_RETURN(Operand matched,
                                          Evaluate(predicate, s));
-                    return std::move(matched.rids);
+                    return std::move(matched).Release();
                   });
 }
 
@@ -545,7 +566,9 @@ Result<std::vector<uint32_t>> QueryEngine::JoinKeys(
                     DBA_ASSIGN_OR_RETURN(
                         std::vector<uint32_t> right,
                         sort_unique_keys(other, other_column, s));
-                    return RunSetOp(SetOp::kIntersect, left, right, s);
+                    return RunSetOp(SetOp::kIntersect,
+                                    std::span<const uint32_t>(left),
+                                    std::span<const uint32_t>(right), s);
                   });
 }
 
@@ -561,8 +584,8 @@ Result<std::vector<uint32_t>> QueryEngine::SelectValuesOrdered(
 
         // Gather the qualifying values (in hardware: a prefetcher gather).
         std::vector<uint32_t> values;
-        values.reserve(matched.rids.size());
-        for (Rid rid : matched.rids) values.push_back(column[rid]);
+        values.reserve(matched.rids().size());
+        for (Rid rid : matched.rids()) values.push_back(column[rid]);
 
         QueryStats step;
         DBA_ASSIGN_OR_RETURN(

@@ -155,12 +155,15 @@ class QueryEngine {
     SecondaryIndex index;
     uint64_t version = 0;  // the column version `index` was built from
     /// The planner's lazy-index state (reset by Enable/
-    /// DisableAdaptivePlanner): the savings meter, its inspection
-    /// surface, and the PartitionIndexes built over probe results of
-    /// this column, keyed by the probed range.
+    /// DisableAdaptivePlanner): the savings meter, what partition_state
+    /// reports beside the meter's own figures, and the PartitionIndexes
+    /// built over probe results of this column, keyed by the probed
+    /// range.
     struct LazyIndexes {
       PartitionSavingsMeter meter;
-      ColumnIndexState state;
+      double build_cost_ns = 0;      // estimate for the last candidate set
+      uint32_t indexes_built = 0;
+      uint64_t indexed_entries = 0;  // total elements across built indexes
       std::map<ProbedRange, PartitionIndex> by_range;
     } lazy;
   };
@@ -173,21 +176,54 @@ class QueryEngine {
   /// complements) are anonymous. The record pointer stays valid for the
   /// query: records live in std::map nodes, and BuildIndex assigns into
   /// an existing node.
-  struct Operand {
-    std::vector<Rid> rids;
-    IndexedColumn* column = nullptr;  // null = not one leaf probe
-    ProbedRange range{};
+  ///
+  /// `rids()` views either the operand's own vector (derived sets and
+  /// ranges spanning several values) or, for a leaf whose probed range
+  /// holds at most one value, the index's own entries: that slice already
+  /// is the sorted RID set, so it is borrowed, not copied. No borrowed
+  /// view outlives its index, because within one Select only the first
+  /// probe of a column can rebuild that column's index: the table cannot
+  /// change during a Select, so once a probe has brought the index up to
+  /// the column's version every later probe of the column finds it
+  /// current. Operands move but never copy; a moved vector hands its
+  /// buffer over, so a view of an owned vector moves with it.
+  class Operand {
+   public:
+    /// An anonymous set that owns its RIDs.
+    explicit Operand(std::vector<Rid> rids = {})
+        : owned_(std::move(rids)), rids_(owned_) {}
+    /// A leaf probe of `range` on `column`'s index.
+    Operand(IndexedColumn* column, ProbedRange range);
+
+    Operand(Operand&&) = default;
+    Operand& operator=(Operand&&) = default;
+
+    std::span<const Rid> rids() const { return rids_; }
+    IndexedColumn* column() const { return column_; }  // null: not a leaf
+    ProbedRange range() const { return range_; }
+
+    /// The RIDs as a vector the caller owns: moved out when the operand
+    /// owns them, copied when it borrows them from an index.
+    std::vector<Rid> Release() &&;
+
+   private:
+    std::vector<Rid> owned_;
+    std::span<const Rid> rids_;
+    IndexedColumn* column_ = nullptr;
+    ProbedRange range_{};
   };
 
   /// Non-owning view of an operand; implicitly built from an Operand or
-  /// a bare RID vector (anonymous provenance).
+  /// a bare RID span (anonymous provenance).
   struct OperandView {
     std::span<const Rid> rids;
     IndexedColumn* column = nullptr;
     ProbedRange range{};
     OperandView(const Operand& operand)  // NOLINT
-        : rids(operand.rids), column(operand.column), range(operand.range) {}
-    OperandView(const std::vector<Rid>& plain) : rids(plain) {}  // NOLINT
+        : rids(operand.rids()),
+          column(operand.column()),
+          range(operand.range()) {}
+    OperandView(std::span<const Rid> plain) : rids(plain) {}  // NOLINT
   };
 
   Result<Operand> Evaluate(const Predicate& predicate, QueryStats* stats);
@@ -209,7 +245,7 @@ class QueryEngine {
   /// the planner's route for an intersection, else on the EIS route.
   Result<std::vector<Rid>> RunSetOp(SetOp op, const OperandView& a,
                                     const OperandView& b, QueryStats* stats);
-  Result<std::vector<Rid>> Complement(const std::vector<Rid>& rids,
+  Result<std::vector<Rid>> Complement(std::span<const Rid> rids,
                                       QueryStats* stats);
 
   /// The planner's route for one intersection and the cached

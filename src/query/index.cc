@@ -55,22 +55,26 @@ std::vector<Rid> SecondaryIndex::ProbeEquals(uint32_t value) const {
   return ProbeRange(value, value);
 }
 
-std::vector<Rid> SecondaryIndex::ProbeRange(uint32_t lo, uint32_t hi) const {
+SecondaryIndex::Slice SecondaryIndex::Lookup(uint32_t lo, uint32_t hi) const {
   if (lo > hi) return {};
-  const auto begin =
-      std::lower_bound(values_.begin(), values_.end(), lo) - values_.begin();
-  const auto end =
-      std::upper_bound(values_.begin(), values_.end(), hi) - values_.begin();
-  std::vector<Rid> rids(rids_.begin() + begin, rids_.begin() + end);
-  // Entries are ordered by (value, rid): Build's stable radix passes
-  // keep the RIDs of one value ascending, so only a range spanning
-  // several values needs a final RID sort to produce the canonical
-  // sorted RID set.
-  if (end > begin && values_[static_cast<size_t>(begin)] !=
-                         values_[static_cast<size_t>(end - 1)]) {
-    std::sort(rids.begin(), rids.end());
-  }
-  return rids;
+  const auto begin = std::lower_bound(values_.begin(), values_.end(), lo);
+  const auto end = std::upper_bound(begin, values_.end(), hi);
+  const size_t first = static_cast<size_t>(begin - values_.begin());
+  const size_t count = static_cast<size_t>(end - begin);
+  return {std::span<const Rid>(rids_).subspan(first, count),
+          count == 0 || *begin == *(end - 1)};
+}
+
+std::vector<Rid> SecondaryIndex::Slice::SortedCopy() const {
+  std::vector<Rid> sorted(rids.begin(), rids.end());
+  // Entries are ordered by (value, rid), so only a slice spanning
+  // several values needs a RID sort to produce the canonical sorted set.
+  if (!single_value) std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+std::vector<Rid> SecondaryIndex::ProbeRange(uint32_t lo, uint32_t hi) const {
+  return Lookup(lo, hi).SortedCopy();
 }
 
 std::vector<Rid> SecondaryIndex::AllRids() const {

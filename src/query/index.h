@@ -2,6 +2,7 @@
 #define DBA_QUERY_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,21 @@ class SecondaryIndex {
 
   const std::string& column_name() const { return column_name_; }
   uint32_t num_entries() const { return static_cast<uint32_t>(rids_.size()); }
+
+  /// The index entries with lo <= value <= hi: their RIDs in entry
+  /// order, a view into the index that lives as long as it does.
+  struct Slice {
+    std::span<const Rid> rids;
+    /// The entries hold at most one distinct value, so `rids` already is
+    /// the sorted RID set (Build keeps each value's RIDs ascending).
+    bool single_value = true;
+
+    /// The sorted RID set as a vector the caller owns: a copy, sorted
+    /// when the slice spans several values.
+    std::vector<Rid> SortedCopy() const;
+  };
+  /// The entries with lo <= value <= hi (none when lo > hi).
+  Slice Lookup(uint32_t lo, uint32_t hi) const;
 
   /// RIDs of rows with column == value.
   std::vector<Rid> ProbeEquals(uint32_t value) const;

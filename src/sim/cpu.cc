@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -74,27 +75,90 @@ isa::ExtNameResolver Cpu::MakeExtNameResolver() const {
   };
 }
 
+void Cpu::SetLoopAccelerator(LoopAccelerator* accel) {
+  loop_accel_ = accel;
+  cached_plans_.clear();
+  for (SuperBlock& block : plan_.blocks) block.accel_state = 0;
+}
+
 Status Cpu::LoadProgram(const isa::Program& program) {
   if (program.empty()) {
     return Status::InvalidArgument("cannot load an empty program");
   }
-  // Reloading the program that is already resident (a board core runs
-  // the same kernel for every partition) only resets the pc. The check
-  // compares content, not identity, so a different program that happens
-  // to reuse a freed address can never hit the fast path.
-  if (program.words() == loaded_words_ &&
-      program.labels() == loaded_labels_) {
+  // A program the core holds a plan for -- the resident one (a board
+  // core runs the same kernel for every partition) or one it switched
+  // away from -- only resets the pc. The check compares content, not
+  // identity, so a different program that happens to reuse a freed
+  // address can never match a stale plan.
+  bool held = plan_.Holds(program);
+  if (!held) {
+    const auto cached = std::find_if(
+        cached_plans_.begin(), cached_plans_.end(),
+        [&](const ExecPlan& plan) { return plan.Holds(program); });
+    if (cached != cached_plans_.end()) {
+      // The cached plan becomes resident, and the one it replaces moves
+      // to the front of the cache as the most recently resident.
+      std::swap(plan_, *cached);
+      std::rotate(cached_plans_.begin(), cached, std::next(cached));
+      held = true;
+    }
+  }
+  if (held) {
     static obs::Counter* const reloads =
         obs::MetricsRegistry::Global().GetCounter(
             "dba_sim_program_reloads_total",
-            "Program loads that reused the resident decode and exec plan.");
+            "Program loads that reused a decode and exec plan the core "
+            "held (the resident program's or a cached one).");
     reloads->Increment();
-    program_ = &program;
     pc_ = 0;
     return Status::Ok();
   }
-  std::vector<isa::DecodedWord> decoded;
-  decoded.reserve(program.size());
+  DBA_ASSIGN_OR_RETURN(ExecPlan plan, BuildExecPlan(program));
+  if (!plan_.decoded.empty()) {
+    if (cached_plans_.size() == kExecPlanCapacity - 1) {
+      cached_plans_.pop_back();
+    }
+    cached_plans_.insert(cached_plans_.begin(), std::move(plan_));
+  }
+  plan_ = std::move(plan);
+  {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    static obs::Counter* const decodes = registry.GetCounter(
+        "dba_sim_program_decodes_total",
+        "Program loads that required a full decode.");
+    static obs::Counter* const rebuilds = registry.GetCounter(
+        "dba_sim_superblock_rebuilds_total",
+        "Superblock exec-plan rebuilds (one per full program decode).");
+    static obs::Counter* const superblocks = registry.GetCounter(
+        "dba_sim_superblocks_built_total",
+        "Superblocks constructed across all exec-plan rebuilds.");
+    decodes->Increment();
+    rebuilds->Increment();
+    superblocks->Increment(plan_.blocks.size());
+  }
+  pc_ = 0;
+  return Status::Ok();
+}
+
+namespace {
+bool IsCondBranch(Opcode opcode) {
+  switch (opcode) {
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBltu:
+    case Opcode::kBge:
+    case Opcode::kBgeu:
+      return true;
+    default:
+      return false;
+  }
+}
+}  // namespace
+
+Result<Cpu::ExecPlan> Cpu::BuildExecPlan(const isa::Program& program) const {
+  ExecPlan plan;
+  plan.decoded.reserve(program.size());
   uint64_t bytes = 0;
   for (size_t pc = 0; pc < program.size(); ++pc) {
     auto word = isa::Decode(program.word(pc));
@@ -126,7 +190,7 @@ Status Cpu::LoadProgram(const isa::Program& program) {
       }
       bytes += 4;
     }
-    decoded.push_back(*std::move(word));
+    plan.decoded.push_back(*std::move(word));
   }
   if (config_.instruction_memory_bytes != 0 &&
       bytes > config_.instruction_memory_bytes) {
@@ -135,64 +199,24 @@ Status Cpu::LoadProgram(const isa::Program& program) {
         " bytes of instruction memory; core '" + config_.name + "' has " +
         std::to_string(config_.instruction_memory_bytes));
   }
-  decoded_ = std::move(decoded);
-  program_ = &program;
-  loaded_words_ = program.words();
-  loaded_labels_ = program.labels();
+  plan.words = program.words();
+  plan.labels = program.labels();
+  const size_t n = plan.decoded.size();
+
   // Enclosing label per pc: the label bound at the greatest position at
   // or before it.
-  pc_labels_.assign(decoded_.size(), std::string());
-  auto sorted_labels = program.labels();
+  plan.pc_labels.assign(n, std::string());
+  auto sorted_labels = plan.labels;
   std::stable_sort(sorted_labels.begin(), sorted_labels.end(),
                    [](const auto& x, const auto& y) {
                      return x.second < y.second;
                    });
   for (const auto& [name, position] : sorted_labels) {
-    for (size_t pc = position; pc < decoded_.size(); ++pc) {
-      pc_labels_[pc] = name;
-    }
+    for (size_t pc = position; pc < n; ++pc) plan.pc_labels[pc] = name;
   }
-  BuildExecPlan();
-  {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    static obs::Counter* const decodes = registry.GetCounter(
-        "dba_sim_program_decodes_total",
-        "Program loads that required a full decode.");
-    static obs::Counter* const rebuilds = registry.GetCounter(
-        "dba_sim_superblock_rebuilds_total",
-        "Superblock exec-plan rebuilds (one per full program decode).");
-    static obs::Counter* const superblocks = registry.GetCounter(
-        "dba_sim_superblocks_built_total",
-        "Superblocks constructed across all exec-plan rebuilds.");
-    decodes->Increment();
-    rebuilds->Increment();
-    superblocks->Increment(blocks_.size());
-  }
-  pc_ = 0;
-  return Status::Ok();
-}
 
-namespace {
-bool IsCondBranch(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBltu:
-    case Opcode::kBge:
-    case Opcode::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-}  // namespace
-
-void Cpu::BuildExecPlan() {
-  const size_t n = decoded_.size();
-  ext_of_.assign(n, nullptr);
-  slot_ext_of_.assign(n, {});
-
+  plan.ext_of.assign(n, nullptr);
+  plan.slot_ext_of.assign(n, {});
   // Superblock heads: entry, every branch/jump target, the word after
   // every control-flow word, and every label position. A control-flow
   // word can therefore only ever be the last word of its block.
@@ -201,14 +225,14 @@ void Cpu::BuildExecPlan() {
   auto mark_head = [&](uint64_t pc) {
     if (pc < n) is_head[pc] = 1;
   };
-  for (const auto& [name, position] : loaded_labels_) mark_head(position);
+  for (const auto& [name, position] : plan.labels) mark_head(position);
   for (size_t pc = 0; pc < n; ++pc) {
-    const isa::DecodedWord& word = decoded_[pc];
+    const isa::DecodedWord& word = plan.decoded[pc];
     if (word.kind == isa::DecodedWord::Kind::kFlix) {
       for (int i = 0; i < isa::kMaxFlixSlots; ++i) {
         const isa::TieSlot& slot = word.slots[static_cast<size_t>(i)];
         if (!slot.empty()) {
-          slot_ext_of_[pc][static_cast<size_t>(i)] =
+          plan.slot_ext_of[pc][static_cast<size_t>(i)] =
               &ext_ops_.find(slot.ext_id)->second;
         }
       }
@@ -216,7 +240,7 @@ void Cpu::BuildExecPlan() {
     }
     const Instruction& instr = word.base;
     if (instr.opcode == Opcode::kTie) {
-      ext_of_[pc] = &ext_ops_.find(instr.ext_id)->second;
+      plan.ext_of[pc] = &ext_ops_.find(instr.ext_id)->second;
     } else if (IsCondBranch(instr.opcode) || instr.opcode == Opcode::kJ) {
       mark_head(static_cast<uint64_t>(static_cast<int64_t>(pc) + 1 +
                                       instr.imm));
@@ -226,25 +250,24 @@ void Cpu::BuildExecPlan() {
     }
   }
 
-  blocks_.clear();
-  block_of_.assign(n, 0);
+  plan.block_of.assign(n, 0);
   for (size_t pc = 0; pc < n; ++pc) {
     if (is_head[pc]) {
       SuperBlock block;
       block.head = static_cast<uint32_t>(pc);
-      blocks_.push_back(std::move(block));
+      plan.blocks.push_back(std::move(block));
     }
-    block_of_[pc] = static_cast<uint32_t>(blocks_.size() - 1);
-    ++blocks_.back().len;
+    plan.block_of[pc] = static_cast<uint32_t>(plan.blocks.size() - 1);
+    ++plan.blocks.back().len;
   }
 
   // Steady-state TIE loops: a body of base kTie words closed by one
   // backward conditional branch to the block head. Their pre-decoded
   // micro-trace is what the loop accelerator consumes.
-  for (SuperBlock& block : blocks_) {
+  for (SuperBlock& block : plan.blocks) {
     if (block.len < 2) continue;
     const uint32_t last = block.head + block.len - 1;
-    const isa::DecodedWord& tail = decoded_[last];
+    const isa::DecodedWord& tail = plan.decoded[last];
     if (tail.kind != isa::DecodedWord::Kind::kBase ||
         !IsCondBranch(tail.base.opcode) || tail.base.imm >= 0 ||
         static_cast<int64_t>(last) + 1 + tail.base.imm != block.head) {
@@ -252,7 +275,7 @@ void Cpu::BuildExecPlan() {
     }
     bool all_tie = true;
     for (uint32_t pc = block.head; pc < last; ++pc) {
-      const isa::DecodedWord& word = decoded_[pc];
+      const isa::DecodedWord& word = plan.decoded[pc];
       if (word.kind != isa::DecodedWord::Kind::kBase ||
           word.base.opcode != Opcode::kTie) {
         all_tie = false;
@@ -263,10 +286,11 @@ void Cpu::BuildExecPlan() {
     block.tie_loop = true;
     block.tie_body.reserve(block.len - 1);
     for (uint32_t pc = block.head; pc < last; ++pc) {
-      block.tie_body.push_back(decoded_[pc].base);
+      block.tie_body.push_back(plan.decoded[pc].base);
     }
     block.tie_branch = tail.base;
   }
+  return plan;
 }
 
 void Cpu::ResetArchState() {
@@ -301,7 +325,7 @@ void Cpu::Charge(const ExtContext& ctx, ExecStats* stats) {
 // scalar kernels.
 inline Status Cpu::Step(ExecStats* stats, bool* halted) {
   const uint32_t pc = pc_;
-  const isa::DecodedWord& word = decoded_[pc];
+  const isa::DecodedWord& word = plan_.decoded[pc];
   ++stats->bundles;
   ++stats->cycles;  // issue cycle
   if (word.kind == isa::DecodedWord::Kind::kBase) {
@@ -312,7 +336,7 @@ inline Status Cpu::Step(ExecStats* stats, bool* halted) {
   // ports; port contention across slots serializes beats.
   ExtContext ctx(this, 0);
   for (int i = 0; i < isa::kMaxFlixSlots; ++i) {
-    const ExtOp* op = slot_ext_of_[pc][static_cast<size_t>(i)];
+    const ExtOp* op = plan_.slot_ext_of[pc][static_cast<size_t>(i)];
     if (op == nullptr) continue;
     ++stats->instructions;
     ctx.operand_ = word.slots[static_cast<size_t>(i)].operand;
@@ -488,7 +512,7 @@ Status Cpu::ExecuteBase(const Instruction& instr, ExecStats* stats,
 
     case Opcode::kTie: {
       ExtContext ctx(this, instr.operand);
-      DBA_RETURN_IF_ERROR(ext_of_[pc_]->fn(ctx));
+      DBA_RETURN_IF_ERROR(plan_.ext_of[pc_]->fn(ctx));
       Charge(ctx, stats);
       break;
     }
@@ -499,7 +523,7 @@ Status Cpu::ExecuteBase(const Instruction& instr, ExecStats* stats,
 }
 
 Result<ExecStats> Cpu::Run(const RunOptions& options) {
-  if (decoded_.empty()) {
+  if (plan_.decoded.empty()) {
     return Status::FailedPrecondition("no program loaded");
   }
   SimRunCounter(options.mode)->Increment();
@@ -531,8 +555,8 @@ Result<ExecStats> Cpu::Run(const RunOptions& options) {
 Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
   ExecStats stats;
   if (options.profile) {
-    stats.pc_counts.resize(decoded_.size(), 0);
-    stats.pc_cycles.resize(decoded_.size());
+    stats.pc_counts.resize(plan_.decoded.size(), 0);
+    stats.pc_cycles.resize(plan_.decoded.size());
   }
 
   CycleTraceSink* sink = options.trace_sink;
@@ -561,15 +585,15 @@ Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
           "watchdog: exceeded " + std::to_string(options.max_cycles) +
           " cycles at pc " + std::to_string(pc_));
     }
-    if (pc_ >= decoded_.size()) {
+    if (pc_ >= plan_.decoded.size()) {
       return Status::Internal("pc " + std::to_string(pc_) +
                               " outside the program (missing halt?)");
     }
     const uint32_t issue_pc = pc_;
-    const isa::DecodedWord& word = decoded_[pc_];
+    const isa::DecodedWord& word = plan_.decoded[pc_];
     if (options.profile) ++stats.pc_counts[pc_];
     if (sink != nullptr) {
-      const std::string& label = pc_labels_[issue_pc];
+      const std::string& label = plan_.pc_labels[issue_pc];
       if (open_region == nullptr || label != *open_region) {
         if (open_region != nullptr) {
           sink->EndRegion(stats.cycles);
@@ -601,11 +625,11 @@ Result<ExecStats> Cpu::RunInterpret(const RunOptions& options) {
       before.lsu_beats[0] = stats.lsu_beats[0];
       before.lsu_beats[1] = stats.lsu_beats[1];
       if (word.kind == isa::DecodedWord::Kind::kFlix) {
-        for (const ExtOp* op : slot_ext_of_[issue_pc]) {
+        for (const ExtOp* op : plan_.slot_ext_of[issue_pc]) {
           if (op != nullptr) ++stats.mnemonic_counts[op->name];
         }
       } else if (word.base.opcode == Opcode::kTie) {
-        ++stats.mnemonic_counts[ext_of_[issue_pc]->name];
+        ++stats.mnemonic_counts[plan_.ext_of[issue_pc]->name];
       } else {
         ++stats.mnemonic_counts[std::string(
             isa::OpcodeName(word.base.opcode))];
@@ -649,11 +673,11 @@ Result<ExecStats> Cpu::RunSuperblocks(const RunOptions& options) {
           "watchdog: exceeded " + std::to_string(options.max_cycles) +
           " cycles at pc " + std::to_string(pc_));
     }
-    if (pc_ >= decoded_.size()) {
+    if (pc_ >= plan_.decoded.size()) {
       return Status::Internal("pc " + std::to_string(pc_) +
                               " outside the program (missing halt?)");
     }
-    SuperBlock& block = blocks_[block_of_[pc_]];
+    SuperBlock& block = plan_.blocks[plan_.block_of[pc_]];
     if (loop_accel_ != nullptr && block.tie_loop && pc_ == block.head &&
         block.accel_state != 2) {
       const TieLoop loop{block.head,

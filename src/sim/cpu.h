@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -78,8 +79,9 @@ class Cpu {
   /// Registers the batch executor for steady-state extension loops
   /// (non-owning; may be null to clear). Consulted by the superblock loop
   /// of lean fast-forward and turbo runs for superblocks that are TIE
-  /// loops.
-  void SetLoopAccelerator(LoopAccelerator* accel) { loop_accel_ = accel; }
+  /// loops. Drops the cached exec plans and the resident plan's
+  /// MatchesTieLoop verdicts, which were the previous accelerator's.
+  void SetLoopAccelerator(LoopAccelerator* accel);
   LoopAccelerator* loop_accelerator() const { return loop_accel_; }
 
   /// Mnemonic lookup for the disassembler.
@@ -88,8 +90,15 @@ class Cpu {
   /// Validates, decodes, and installs `program`; resets pc to 0.
   /// Fails if the program exceeds the local instruction memory, uses
   /// 64-bit FLIX words on a 32-bit instruction bus, or references
-  /// unregistered extension operations.
+  /// unregistered extension operations. A program whose exec plan the
+  /// core still holds (the resident one, or one of the last
+  /// kExecPlanCapacity - 1 others it ran) is not decoded again.
   Status LoadProgram(const isa::Program& program);
+
+  /// Exec plans a core keeps, the resident one included: a Processor's
+  /// ten kernels plus the board's fault hang loop, so switching between
+  /// kernels never decodes a program twice.
+  static constexpr size_t kExecPlanCapacity = 11;
 
   // --- Architectural state ---
   uint32_t reg(isa::Reg r) const {
@@ -108,8 +117,8 @@ class Cpu {
   Result<ExecStats> Run(const RunOptions& options = {});
 
   /// Decode-once superblocks of the resident program (tests and the
-  /// toolchain introspect these; rebuilt by LoadProgram whenever the
-  /// program words change).
+  /// toolchain introspect these; built by LoadProgram when the core holds
+  /// no plan for the program's content).
   struct SuperBlock {
     uint32_t head = 0;  // first pc of the straight-line region
     uint32_t len = 0;   // words in [head, head + len)
@@ -123,9 +132,9 @@ class Cpu {
     std::vector<isa::Instruction> tie_body;
     isa::Instruction tie_branch;
   };
-  size_t num_superblocks() const { return blocks_.size(); }
+  size_t num_superblocks() const { return plan_.blocks.size(); }
   const SuperBlock& superblock_at(uint32_t pc) const {
-    return blocks_[block_of_[pc]];
+    return plan_.blocks[plan_.block_of[pc]];
   }
 
  private:
@@ -150,9 +159,31 @@ class Cpu {
   /// FailedPrecondition for a 128-bit beat on a narrower data bus.
   static Status NarrowBusError();
 
-  /// Segments the freshly decoded program into superblocks and resolves
-  /// the per-pc extension handlers (decode-once micro-traces).
-  void BuildExecPlan();
+  /// Everything LoadProgram derives from one program, keyed by the
+  /// program's content (its words and labels), never its address.
+  struct ExecPlan {
+    std::vector<uint64_t> words;
+    std::vector<std::pair<std::string, uint32_t>> labels;
+    std::vector<isa::DecodedWord> decoded;
+    /// Enclosing label per pc (empty when none); names the cycle-trace
+    /// regions and the stall-attribution rows.
+    std::vector<std::string> pc_labels;
+    /// Superblock table (with each block's cached MatchesTieLoop
+    /// verdict), pc -> block map, and pre-resolved extension handlers
+    /// (no map lookup on the fast paths).
+    std::vector<SuperBlock> blocks;
+    std::vector<uint32_t> block_of;
+    std::vector<const ExtOp*> ext_of;  // base kTie words only, else null
+    std::vector<std::array<const ExtOp*, isa::kMaxFlixSlots>> slot_ext_of;
+
+    bool Holds(const isa::Program& program) const {
+      return program.words() == words && program.labels() == labels;
+    }
+  };
+
+  /// Validates and decodes `program`, segments it into superblocks and
+  /// resolves the per-pc extension handlers (decode-once micro-traces).
+  Result<ExecPlan> BuildExecPlan(const isa::Program& program) const;
 
   /// The reference loop: word by word, with the profile, trace and
   /// cycle-trace bookkeeping around each Step.
@@ -166,23 +197,12 @@ class Cpu {
   std::map<uint16_t, ExtOp> ext_ops_;
   LoopAccelerator* loop_accel_ = nullptr;
 
-  std::vector<isa::DecodedWord> decoded_;
-  const isa::Program* program_ = nullptr;  // for diagnostics only
-  /// Copy of the resident program's words/labels; LoadProgram skips the
-  /// decode when asked to load identical content again.
-  std::vector<uint64_t> loaded_words_;
-  std::vector<std::pair<std::string, uint32_t>> loaded_labels_;
-  /// Enclosing label per pc (empty when none), rebuilt by LoadProgram;
-  /// names the cycle-trace regions and the stall-attribution rows.
-  std::vector<std::string> pc_labels_;
-
-  /// Execution plan of the resident program: superblock table, pc ->
-  /// block map, and pre-resolved extension handlers (no map lookup on
-  /// the fast paths). Lives and dies with decoded_.
-  std::vector<SuperBlock> blocks_;
-  std::vector<uint32_t> block_of_;
-  std::vector<const ExtOp*> ext_of_;  // base kTie words only, else null
-  std::vector<std::array<const ExtOp*, isa::kMaxFlixSlots>> slot_ext_of_;
+  /// The resident program's plan, held by value so that the run loops
+  /// reach its tables with no more indirection than a plain member.
+  ExecPlan plan_;
+  /// Plans of the programs the core ran before the resident one, most
+  /// recently resident first; at most kExecPlanCapacity - 1.
+  std::vector<ExecPlan> cached_plans_;
 
   std::array<uint32_t, isa::kNumRegs> regs_{};
   uint32_t pc_ = 0;

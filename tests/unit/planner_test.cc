@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/table.h"
+#include "shared/scan_select.h"
 
 namespace dba::query {
 namespace {
@@ -764,6 +766,48 @@ TEST_F(PlannerEngineTest, UpdatingAColumnKeepsOtherColumnsPartitionIndexes) {
   EXPECT_EQ(reused.route_counts[static_cast<size_t>(Route::kPartitionProbe)],
             reused.planned_ops);
   EXPECT_EQ(engine.partition_state("a:b").indexes_built, 1u);
+}
+
+// A leaf whose range holds one value borrows its column index's entries,
+// and only the first probe of a column in a Select may rebuild that
+// index. After UpdateColumn, each predicate below probes the stale
+// column twice: the first probe rebuilds the index, and both borrowed
+// leaves must still read the rebuilt one when the set operations run.
+// Planner off, on and forced to each route, against a column scan.
+TEST_F(PlannerEngineTest, BorrowedLeavesSurviveAStaleColumn) {
+  // Moves every row's region on by one, leaving the engine's index of
+  // the column stale.
+  const auto update_region = [this] {
+    const std::span<const uint32_t> old_region = *table_.Column("region");
+    std::vector<uint32_t> region(old_region.begin(), old_region.end());
+    for (uint32_t& value : region) value = (value + 1) % 5;
+    ASSERT_TRUE(table_.UpdateColumn("region", std::move(region)).ok());
+  };
+  std::vector<PredicatePtr> predicates;
+  predicates.push_back(And(Equals("region", 1), Not(Equals("region", 2))));
+  predicates.push_back(Or(Equals("region", 1),
+                          And(Equals("region", 2), Equals("status", 0))));
+  std::vector<std::optional<PlannerOptions>> modes = {std::nullopt,
+                                                      TestPlannerOptions()};
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    PlannerOptions forced = TestPlannerOptions();
+    forced.force_route = static_cast<Route>(r);
+    modes.push_back(forced);
+  }
+  for (size_t mode = 0; mode < modes.size(); ++mode) {
+    auto engine = MakeEngine();
+    if (modes[mode].has_value()) engine->EnableAdaptivePlanner(*modes[mode]);
+    for (int round = 0; round < 3; ++round) {
+      for (const PredicatePtr& predicate : predicates) {
+        update_region();
+        auto rids = engine->Select(*predicate);
+        ASSERT_TRUE(rids.ok()) << rids.status();
+        EXPECT_EQ(*rids, test::ScanSelect(table_, *predicate))
+            << "mode " << mode << ", round " << round << ": "
+            << predicate->ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,41 +16,12 @@
 #include "query/index.h"
 #include "query/predicate.h"
 #include "query/table.h"
+#include "shared/scan_select.h"
 
 namespace dba::query {
 namespace {
 
-// Reference: evaluate a predicate by scanning every row.
-bool RowMatches(const Table& table, const Predicate& predicate, Rid rid) {
-  if (predicate.is_leaf()) {
-    const uint32_t value = *table.Value(predicate.column, rid);
-    return value >= predicate.lo && value <= predicate.hi;
-  }
-  switch (predicate.kind) {
-    case Predicate::Kind::kNot:
-      return !RowMatches(table, *predicate.children[0], rid);
-    case Predicate::Kind::kAnd:
-      for (const auto& child : predicate.children) {
-        if (!RowMatches(table, *child, rid)) return false;
-      }
-      return true;
-    case Predicate::Kind::kOr:
-      for (const auto& child : predicate.children) {
-        if (RowMatches(table, *child, rid)) return true;
-      }
-      return false;
-    default:
-      return false;
-  }
-}
-
-std::vector<Rid> ScanSelect(const Table& table, const Predicate& predicate) {
-  std::vector<Rid> rids;
-  for (Rid rid = 0; rid < table.num_rows(); ++rid) {
-    if (RowMatches(table, predicate, rid)) rids.push_back(rid);
-  }
-  return rids;
-}
+using test::ScanSelect;
 
 Table MakeOrdersTable(uint32_t rows, uint64_t seed) {
   Random rng(seed);
@@ -230,6 +201,75 @@ TEST(SecondaryIndexTest, BuildMatchesStableSortReference) {
   }
 }
 
+// A leaf probe borrows the index's own entries when its range holds at
+// most one value (QueryEngine::Operand). Over columns of 1, 2, 17 and
+// 20000 rows and domains of 1, 2, 7 and 257 values, with 0 and
+// 0xFFFFFFFF planted: every single value, present or absent, must slice
+// exactly ProbeRange(v, v), and a range must report a single value
+// exactly when it holds at most one present value.
+TEST(SecondaryIndexTest, BorrowedSliceMatchesProbeRange) {
+  const uint32_t extremes[] = {0, 0xFFFFFFFF};
+  Random rng(2811);
+  for (const uint32_t rows : {1u, 2u, 17u, 20000u}) {
+    for (const uint32_t domain : {1u, 2u, 7u, 257u}) {
+      std::vector<uint32_t> values(rows);
+      for (uint32_t& value : values) {
+        value = static_cast<uint32_t>(rng.Uniform(domain));
+      }
+      const size_t planted = std::min<size_t>(std::size(extremes), rows);
+      for (size_t i = 0; i < planted; ++i) {
+        values[i * rows / planted] = extremes[i];
+      }
+      std::vector<uint32_t> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<uint32_t> present = sorted;
+      present.erase(std::unique(present.begin(), present.end()),
+                    present.end());
+      // Bounds: every present value, its neighbours and the extremes.
+      std::vector<uint32_t> bounds = {0, 1, 0xFFFFFFFE, 0xFFFFFFFF};
+      for (const uint32_t value : present) {
+        bounds.push_back(value);
+        if (value > 0) bounds.push_back(value - 1);
+        if (value < 0xFFFFFFFF) bounds.push_back(value + 1);
+      }
+      std::sort(bounds.begin(), bounds.end());
+      bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+      const auto count_in = [](const std::vector<uint32_t>& of, uint32_t lo,
+                               uint32_t hi) {
+        return std::upper_bound(of.begin(), of.end(), hi) -
+               std::lower_bound(of.begin(), of.end(), lo);
+      };
+
+      Table table("t");
+      ASSERT_TRUE(table.AddColumn("k", std::move(values)).ok());
+      auto index = SecondaryIndex::Build(table, "k");
+      ASSERT_TRUE(index.ok());
+      const std::string where = "rows " + std::to_string(rows) +
+                                ", domain " + std::to_string(domain);
+      for (const uint32_t value : bounds) {
+        const SecondaryIndex::Slice slice = index->Lookup(value, value);
+        EXPECT_TRUE(slice.single_value) << where << ", value " << value;
+        EXPECT_EQ(std::vector<Rid>(slice.rids.begin(), slice.rids.end()),
+                  index->ProbeRange(value, value))
+            << where << ", value " << value;
+      }
+      for (const uint32_t lo : bounds) {
+        for (auto hi = std::lower_bound(bounds.begin(), bounds.end(), lo);
+             hi != bounds.end(); ++hi) {
+          const SecondaryIndex::Slice slice = index->Lookup(lo, *hi);
+          ASSERT_EQ(slice.rids.size(),
+                    static_cast<size_t>(count_in(sorted, lo, *hi)))
+              << where << ", [" << lo << ", " << *hi << "]";
+          ASSERT_EQ(slice.single_value, count_in(present, lo, *hi) <= 1)
+              << where << ", [" << lo << ", " << *hi << "]";
+        }
+      }
+      EXPECT_TRUE(index->Lookup(1, 0).rids.empty()) << where;
+      EXPECT_TRUE(index->Lookup(1, 0).single_value) << where;
+    }
+  }
+}
+
 TEST(SecondaryIndexTest, UnknownColumnFails) {
   Table table("t");
   ASSERT_TRUE(table.AddColumn("k", {1}).ok());
@@ -280,6 +320,26 @@ TEST_F(QueryEngineTest, SingleLeaf) {
   ExpectMatchesScan(*Between("amount", 1000, 2000));
   ExpectMatchesScan(*LessEq("amount", 500));
   ExpectMatchesScan(*GreaterEq("amount", 9500));
+}
+
+// A single-leaf Select reads the index's own entries while it runs, but
+// its result is the caller's copy: neither a rebuild of the index nor
+// the end of the engine can change it.
+TEST_F(QueryEngineTest, SingleLeafResultOutlivesItsIndex) {
+  const auto predicate = Equals("region", 3);
+  const std::vector<Rid> expected = ScanSelect(table_, *predicate);
+  auto rids = engine_->Select(*predicate);
+  ASSERT_TRUE(rids.ok()) << rids.status();
+  EXPECT_EQ(*rids, expected);
+
+  const std::span<const uint32_t> old_region = *table_.Column("region");
+  std::vector<uint32_t> region(old_region.begin(), old_region.end());
+  for (uint32_t& value : region) value = (value + 1) % 5;
+  ASSERT_TRUE(table_.UpdateColumn("region", std::move(region)).ok());
+  ASSERT_TRUE(engine_->BuildIndex("region").ok());
+  EXPECT_EQ(*rids, expected);
+  engine_.reset();
+  EXPECT_EQ(*rids, expected);
 }
 
 TEST_F(QueryEngineTest, ConjunctionUsesIntersection) {

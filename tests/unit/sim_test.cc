@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "isa/assembler.h"
 #include "mem/memory.h"
+#include "obs/metrics/metrics.h"
 #include "sim/cpu.h"
 
 namespace dba::sim {
@@ -537,6 +541,188 @@ TEST(CpuSuperblockTest, BranchIntoMiddleOfCachedSuperblock) {
   EXPECT_EQ(ref.cpu.reg(Reg::a1), 1u);
   EXPECT_EQ(ref.cpu.reg(Reg::a2), 5u);
   ExpectSameStats(*stats_ff, *stats_ref);
+}
+
+// Program k of a family of distinct programs: k + 1 leading words, then
+// a counting loop of k + 2 iterations, so the words and the superblock
+// structure differ from one program to the next.
+isa::Program CountingProgram(int k) {
+  Assembler masm;
+  Label loop;
+  for (int i = 0; i <= k; ++i) masm.Movi(Reg::a3, i);
+  masm.Movi(Reg::a1, 0);
+  masm.Movi(Reg::a2, k + 2);
+  masm.Bind(&loop);
+  masm.Addi(Reg::a1, Reg::a1, 1);
+  masm.Bltu(Reg::a1, Reg::a2, &loop);
+  masm.Halt();
+  auto program = masm.Finish();
+  EXPECT_TRUE(program.ok());
+  return *std::move(program);
+}
+
+uint64_t ProgramDecodes() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("dba_sim_program_decodes_total")
+      ->Value();
+}
+
+TEST(CpuSuperblockTest, AlternatingProgramsDecodeEachOnce) {
+  Harness h;
+  const isa::Program a = CountingProgram(1);
+  const isa::Program b = CountingProgram(4);
+  const uint64_t decodes_before = ProgramDecodes();
+  std::vector<ExecStats> first(2);
+  for (int i = 0; i < 8; ++i) {
+    // A fresh copy each time: plans are found by content, not address.
+    const isa::Program program = i % 2 == 0 ? a : b;
+    ASSERT_TRUE(h.cpu.LoadProgram(program).ok());
+    auto stats = h.cpu.Run();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(h.cpu.reg(Reg::a1), i % 2 == 0 ? 3u : 6u);
+    if (i < 2) {
+      first[static_cast<size_t>(i)] = *stats;
+    } else {
+      ExpectSameStats(*stats, first[static_cast<size_t>(i % 2)]);
+    }
+  }
+  EXPECT_EQ(ProgramDecodes() - decodes_before, 2u);
+}
+
+TEST(CpuSuperblockTest, CyclingPastThePlanCapacityRunsLikeAFreshCpu) {
+  constexpr int kPrograms = static_cast<int>(Cpu::kExecPlanCapacity) + 2;
+  std::vector<isa::Program> programs;
+  for (int k = 0; k < kPrograms; ++k) programs.push_back(CountingProgram(k));
+  RunOptions profiled;
+  profiled.mode = ExecMode::kInterpret;
+  profiled.profile = true;
+  // Each program on a core of its own: lean (superblock loop) and
+  // profiled (reference loop) runs.
+  std::vector<ExecStats> fresh_lean;
+  std::vector<ExecStats> fresh_profiled;
+  std::vector<size_t> fresh_blocks;
+  for (const isa::Program& program : programs) {
+    Harness fresh;
+    ASSERT_TRUE(fresh.cpu.LoadProgram(program).ok());
+    auto lean = fresh.cpu.Run();
+    ASSERT_TRUE(fresh.cpu.LoadProgram(program).ok());
+    auto profile = fresh.cpu.Run(profiled);
+    ASSERT_TRUE(lean.ok());
+    ASSERT_TRUE(profile.ok());
+    fresh_lean.push_back(*lean);
+    fresh_profiled.push_back(*profile);
+    fresh_blocks.push_back(fresh.cpu.num_superblocks());
+  }
+
+  Harness h;
+  // Exactly kExecPlanCapacity programs fit: a second round over them
+  // decodes none again.
+  for (int round = 0; round < 2; ++round) {
+    const uint64_t decodes_before = ProgramDecodes();
+    for (size_t k = 0; k < Cpu::kExecPlanCapacity; ++k) {
+      ASSERT_TRUE(h.cpu.LoadProgram(programs[k]).ok());
+      ASSERT_TRUE(h.cpu.Run().ok());
+    }
+    EXPECT_EQ(ProgramDecodes() - decodes_before,
+              round == 0 ? Cpu::kExecPlanCapacity : 0u);
+  }
+  // Two more than fit, in rotation, so plans are evicted and rebuilt:
+  // every run matches the program's run on a fresh core.
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < kPrograms; ++k) {
+      const size_t i = static_cast<size_t>(k);
+      SCOPED_TRACE("round " + std::to_string(round) + ", program " +
+                   std::to_string(k));
+      ASSERT_TRUE(h.cpu.LoadProgram(programs[i]).ok());
+      auto lean = h.cpu.Run();
+      ASSERT_TRUE(lean.ok());
+      ExpectSameStats(*lean, fresh_lean[i]);
+      EXPECT_EQ(h.cpu.reg(Reg::a1), static_cast<uint32_t>(k + 2));
+      EXPECT_EQ(h.cpu.num_superblocks(), fresh_blocks[i]);
+      ASSERT_TRUE(h.cpu.LoadProgram(programs[i]).ok());
+      auto profile = h.cpu.Run(profiled);
+      ASSERT_TRUE(profile.ok());
+      ExpectSameStats(*profile, fresh_profiled[i]);
+      EXPECT_EQ(profile->mnemonic_counts, fresh_profiled[i].mnemonic_counts);
+    }
+  }
+}
+
+// A loop accelerator that counts its calls and declines every loop, so
+// the core runs the loop word by word.
+class CountingAccelerator : public LoopAccelerator {
+ public:
+  explicit CountingAccelerator(bool matches) : matches_(matches) {}
+  bool MatchesTieLoop(const TieLoop&) const override {
+    ++match_calls;
+    return matches_;
+  }
+  bool RunTieLoop(const TieLoop&, Cpu&, bool, uint64_t,
+                  ExecStats*) override {
+    ++run_calls;
+    return false;
+  }
+  mutable int match_calls = 0;
+  int run_calls = 0;
+
+ private:
+  bool matches_;
+};
+
+TEST(CpuSuperblockTest, NewLoopAcceleratorDropsCachedVerdicts) {
+  Harness h;
+  ASSERT_TRUE(h.cpu
+                  .RegisterExtOp(0x300, "bump",
+                                 [](ExtContext& ctx) {
+                                   ctx.set_reg(Reg::a1, ctx.reg(Reg::a1) + 1);
+                                   return Status::Ok();
+                                 })
+                  .ok());
+  // A TIE loop: one kTie word closed by a backward branch to it.
+  Assembler masm;
+  Label loop;
+  masm.Movi(Reg::a1, 0);
+  masm.Movi(Reg::a2, 5);
+  masm.Bind(&loop);
+  masm.Tie(0x300);
+  masm.Bltu(Reg::a1, Reg::a2, &loop);
+  masm.Halt();
+  auto tie_loop = masm.Finish();
+  ASSERT_TRUE(tie_loop.ok());
+  const isa::Program other = CountingProgram(2);
+
+  CountingAccelerator declines(false);
+  h.cpu.SetLoopAccelerator(&declines);
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(h.cpu.LoadProgram(*tie_loop).ok());
+    ASSERT_TRUE(h.cpu.Run().ok());
+    EXPECT_EQ(h.cpu.reg(Reg::a1), 5u);
+    ASSERT_TRUE(h.cpu.LoadProgram(other).ok());
+    ASSERT_TRUE(h.cpu.Run().ok());
+  }
+  // The verdict survives the switches: asked once, never run.
+  EXPECT_EQ(declines.match_calls, 1);
+  EXPECT_EQ(declines.run_calls, 0);
+
+  // A new accelerator is asked again, whether the loop's plan is the
+  // resident one or a cached one when it arrives.
+  CountingAccelerator first(true);
+  CountingAccelerator second(true);
+  ASSERT_TRUE(h.cpu.LoadProgram(*tie_loop).ok());
+  h.cpu.SetLoopAccelerator(&first);
+  ASSERT_TRUE(h.cpu.LoadProgram(*tie_loop).ok());
+  ASSERT_TRUE(h.cpu.Run().ok());
+  EXPECT_EQ(h.cpu.reg(Reg::a1), 5u);
+  ASSERT_TRUE(h.cpu.LoadProgram(other).ok());
+  ASSERT_TRUE(h.cpu.Run().ok());
+  h.cpu.SetLoopAccelerator(&second);
+  ASSERT_TRUE(h.cpu.LoadProgram(*tie_loop).ok());
+  ASSERT_TRUE(h.cpu.Run().ok());
+  EXPECT_EQ(h.cpu.reg(Reg::a1), 5u);
+  EXPECT_EQ(first.match_calls, 1);
+  EXPECT_GT(first.run_calls, 0);
+  EXPECT_EQ(second.match_calls, 1);
+  EXPECT_GT(second.run_calls, 0);
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ std::array<uint8_t, 16> Row(const std::string& text) {
 
 std::vector<uint32_t> AsWords(const std::vector<std::array<uint8_t, 16>>& rows) {
   std::vector<uint32_t> words(rows.size() * 4);
-  std::memcpy(words.data(), rows.data(), rows.size() * 16);
+  // memcpy's pointers must not be null, which an empty vector's may be.
+  if (!rows.empty()) std::memcpy(words.data(), rows.data(), rows.size() * 16);
   return words;
 }
 
