@@ -45,8 +45,10 @@ struct CostModel {
   double gallop_ns_per_probe = 8.0;
   // Host SIMD merge: per element over |A| + |B|.
   double simd_ns_per_element = 0.8;
-  // Partition-probe: per probe of the smaller set into a built index.
-  double partition_probe_ns = 6.0;
+  // Partition-probe: per probe of the smaller set into a built index,
+  // priced for the bitmap form that dense RID sets take
+  // (bench/baseline_micro BM_PartitionProbe; docs/PLANNER.md).
+  double partition_probe_ns = 1.5;
   // PartitionIndex build: per element of the indexed set (the savings
   // meter's payback denominator).
   double partition_build_ns_per_element = 2.0;

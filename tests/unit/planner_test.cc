@@ -77,9 +77,12 @@ TEST(PartitionIndexTest, ContainsAndEmpty) {
   }
 }
 
-TEST(PartitionIndexTest, DenseDomainGetsMultiPartitionStructure) {
+TEST(PartitionIndexTest, SparseDomainGetsMultiPartitionStructure) {
+  // 40 bits of span per value: past the bitmap's 32, so a directory.
   std::vector<uint32_t> values(10000);
-  std::iota(values.begin(), values.end(), 5u);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = 5 + 40 * static_cast<uint32_t>(i);
+  }
   const PartitionIndex index = PartitionIndex::Build(values);
   EXPECT_EQ(index.num_partitions(),
             (values.size() + PartitionIndex::kPartitionWidth - 1) /
@@ -88,78 +91,142 @@ TEST(PartitionIndexTest, DenseDomainGetsMultiPartitionStructure) {
   std::vector<uint32_t> probes = {0, 5, 17, 9000, 10004, 10005, 20000};
   EXPECT_EQ(index.Intersect(probes),
             baseline::ScalarIntersect(probes, values));
+
+  // As many consecutive values are dense: a bitmap, with no partitions.
+  std::vector<uint32_t> dense(10000);
+  std::iota(dense.begin(), dense.end(), 5u);
+  const PartitionIndex bitmap = PartitionIndex::Build(dense);
+  EXPECT_EQ(bitmap.num_partitions(), 0u);
+  EXPECT_EQ(bitmap.bitmap_span(), dense.size());
+  EXPECT_EQ(bitmap.Intersect(probes), baseline::ScalarIntersect(probes, dense));
 }
 
-// Every edge of the index's layout, on sets small enough to enumerate:
-// sizes 0-40 (under one 16-value block up to several, one short slice),
+// Every edge of both index forms, on sets small enough to enumerate.
+// Sizes 0-40 (under one 16-value block up to several, one short slice),
 // 250-290 (the 256-value slice edge) and 500-530 (a short last slice
-// after two full ones), placed near 0, straddling 2^31 (where a signed
-// 32-bit compare would misorder the values) and ending at 0xFFFFFFFF.
-// Probes are each 16-value block's last value, each slice's maximum,
-// their neighbours, and values below the first and past the last, as
-// one sorted stream and one at a time (a fresh cursor per probe).
+// after two full ones), with gaps of 1-3 (bitmaps) and of 33-40
+// (directories, but for the smallest sets), placed near 0, straddling
+// 2^31 (where a signed 32-bit compare would misorder the values) and
+// ending at 0xFFFFFFFF. Then sets whose span is exactly 32 n (the
+// largest a bitmap takes) and 32 n + 1, and {0, 0xFFFFFFFF}, whose span
+// of 2^32 is 0 in 32-bit arithmetic. Each set must take the form the
+// span rule names. Probes are each 16-value block's last value, each
+// slice's maximum, each 64-bit bitmap word's first bit, their
+// neighbours, and values below the first and past the last, as one
+// sorted stream and one at a time (a fresh cursor per probe).
 TEST(PartitionIndexTest, SmallScopeMatchesScalar) {
   constexpr size_t kBlock = 16;
   const size_t slice = PartitionIndex::kPartitionWidth;
+  const auto check = [&](const std::vector<uint32_t>& values) {
+    const size_t n = values.size();
+    const PartitionIndex index = PartitionIndex::Build(values);
+    ASSERT_EQ(index.size(), n);
+    const uint64_t span =
+        n == 0 ? 0 : uint64_t{values.back()} - values.front() + 1;
+    const bool bitmap =
+        n > 0 && span <= PartitionIndex::kBitmapSpanPerValue * n;
+    EXPECT_EQ(index.bitmap_span(), bitmap ? span : 0);
+    EXPECT_EQ(index.num_partitions(),
+              bitmap ? 0 : (n + slice - 1) / slice);
+
+    // Signed 64-bit, so the neighbours of 0 and 0xFFFFFFFF fit.
+    std::vector<int64_t> edges = {0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF};
+    if (n > 0) {
+      edges.push_back(int64_t{values.front()} - 1);  // below the first
+      edges.push_back(int64_t{values.back()} + 1);   // past the last
+      // Bitmap words start at min + 64 k: min + 63, + 64 and + 65 for
+      // the first in either form, every one in the bitmap form.
+      const uint64_t words = bitmap ? span / 64 : 1;
+      for (uint64_t k = 1; k <= words; ++k) {
+        edges.push_back(int64_t{values.front()} + static_cast<int64_t>(64 * k));
+      }
+    }
+    for (size_t end = kBlock; end < n + kBlock; end += kBlock) {
+      edges.push_back(values[std::min(end, n) - 1]);  // block's last
+    }
+    for (size_t end = slice; end < n + slice; end += slice) {
+      edges.push_back(values[std::min(end, n) - 1]);  // slice maximum
+    }
+    std::vector<uint32_t> probes;
+    for (const int64_t edge : edges) {
+      for (const int64_t probe : {edge - 1, edge, edge + 1}) {
+        if (probe >= 0 && probe <= 0xFFFFFFFF) {
+          probes.push_back(static_cast<uint32_t>(probe));
+        }
+      }
+    }
+    std::sort(probes.begin(), probes.end());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+    EXPECT_EQ(index.Intersect(probes),
+              baseline::ScalarIntersect(probes, values));
+    for (const uint32_t probe : probes) {
+      const std::vector<uint32_t> one = {probe};
+      EXPECT_EQ(index.Intersect(one), baseline::ScalarIntersect(one, values))
+          << "probe " << probe;
+      EXPECT_EQ(index.Contains(probe), std::binary_search(values.begin(),
+                                                          values.end(), probe))
+          << "probe " << probe;
+    }
+  };
+  // The three placements of a set of span `span`.
+  Random rng(2601);
+  const auto starts = [&rng](uint64_t span) {
+    return std::vector<uint64_t>{rng.Uniform(3),
+                                 (uint64_t{1} << 31) - span / 2,
+                                 (uint64_t{1} << 32) - span};
+  };
+
   std::vector<size_t> sizes;
   for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
   for (size_t n = 250; n <= 290; ++n) sizes.push_back(n);
   for (size_t n = 500; n <= 530; ++n) sizes.push_back(n);
-  Random rng(2601);
-  for (const size_t n : sizes) {
-    // Gaps of 1-3 leave non-members between members; the three starts
-    // put the set near 0, across 2^31, and against 0xFFFFFFFF.
-    std::vector<uint32_t> gaps(n);
-    uint64_t span = 0;
-    for (uint32_t& gap : gaps) {
-      gap = 1 + static_cast<uint32_t>(rng.Uniform(3));
-      span += gap;
-    }
-    const uint64_t starts[] = {rng.Uniform(3), (uint64_t{1} << 31) - span / 2,
-                               (uint64_t{1} << 32) - span};
-    for (const uint64_t start : starts) {
-      std::vector<uint32_t> values;
-      uint64_t value = start;
-      for (const uint32_t gap : gaps) {
-        value += gap;
-        values.push_back(static_cast<uint32_t>(value - 1));
+  for (const uint32_t min_gap : {1u, 33u}) {
+    for (const size_t n : sizes) {
+      // Gaps of 1-3 or 33-40 leave non-members between members.
+      std::vector<uint32_t> gaps(n);
+      uint64_t span = 0;
+      for (uint32_t& gap : gaps) {
+        gap = min_gap +
+              static_cast<uint32_t>(rng.Uniform(min_gap == 1 ? 3 : 8));
+        span += gap;
       }
-      // Signed 64-bit, so the neighbours of 0 and 0xFFFFFFFF fit.
-      std::vector<int64_t> edges = {0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF};
-      if (!values.empty()) {
-        edges.push_back(int64_t{values.front()} - 1);  // below the first
-        edges.push_back(int64_t{values.back()} + 1);   // past the last
-      }
-      for (size_t end = kBlock; end < n + kBlock; end += kBlock) {
-        edges.push_back(values[std::min(end, n) - 1]);  // block's last
-      }
-      for (size_t end = slice; end < n + slice; end += slice) {
-        edges.push_back(values[std::min(end, n) - 1]);  // slice maximum
-      }
-      std::vector<uint32_t> probes;
-      for (const int64_t edge : edges) {
-        for (const int64_t probe : {edge - 1, edge, edge + 1}) {
-          if (probe >= 0 && probe <= 0xFFFFFFFF) {
-            probes.push_back(static_cast<uint32_t>(probe));
-          }
+      for (const uint64_t start : starts(span)) {
+        std::vector<uint32_t> values;
+        uint64_t value = start;
+        for (const uint32_t gap : gaps) {
+          value += gap;
+          values.push_back(static_cast<uint32_t>(value - 1));
         }
-      }
-      std::sort(probes.begin(), probes.end());
-      probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
-
-      const PartitionIndex index = PartitionIndex::Build(values);
-      ASSERT_EQ(index.size(), n);
-      EXPECT_EQ(index.Intersect(probes),
-                baseline::ScalarIntersect(probes, values))
-          << "size " << n << ", first value " << start;
-      for (const uint32_t probe : probes) {
-        const std::vector<uint32_t> one = {probe};
-        EXPECT_EQ(index.Intersect(one), baseline::ScalarIntersect(one, values))
-            << "size " << n << ", first value " << start << ", probe "
-            << probe;
+        SCOPED_TRACE("size " + std::to_string(n) + ", gaps from " +
+                     std::to_string(min_gap) + ", first value " +
+                     std::to_string(start));
+        check(values);
       }
     }
   }
+
+  // Spans of exactly 32 n (a bitmap) and 32 n + 1 (a directory): values
+  // 32 apart, the last one moved out to the span's end.
+  for (size_t n = 2; n <= 40; ++n) {
+    for (const uint64_t extra : {uint64_t{0}, uint64_t{1}}) {
+      const uint64_t span = PartitionIndex::kBitmapSpanPerValue * n + extra;
+      for (const uint64_t start : starts(span)) {
+        std::vector<uint32_t> values;
+        for (size_t i = 0; i + 1 < n; ++i) {
+          values.push_back(static_cast<uint32_t>(start + 32 * i));
+        }
+        values.push_back(static_cast<uint32_t>(start + span - 1));
+        SCOPED_TRACE("size " + std::to_string(n) + ", span " +
+                     std::to_string(span) + ", first value " +
+                     std::to_string(start));
+        check(values);
+      }
+    }
+  }
+
+  SCOPED_TRACE("{0, 0xFFFFFFFF}");
+  check({0, 0xFFFFFFFF});
 }
 
 // --- PartitionSavingsMeter ---
@@ -806,6 +873,95 @@ TEST_F(PlannerEngineTest, BorrowedLeavesSurviveAStaleColumn) {
             << "mode " << mode << ", round " << round << ": "
             << predicate->ToString();
       }
+    }
+  }
+}
+
+// The partition route on both index forms. The AND over `sparse` (one
+// value every 40 rows: 40 bits of span per RID) probes a directory-form
+// index, the AND over `dense` (one of two values per row) a bitmap. Each
+// runs on the eager planner, which builds its index on the first query,
+// and forced to partition_probe, against a column scan, before and after
+// both columns change and are re-indexed.
+TEST_F(PlannerEngineTest, PartitionRouteMatchesAScanInBothIndexForms) {
+  constexpr Rid kRows = 40000;
+  Random rng(2902);
+  std::vector<uint32_t> sparse(kRows);
+  std::vector<uint32_t> dense(kRows);
+  std::vector<uint32_t> pick(kRows);
+  for (Rid rid = 0; rid < kRows; ++rid) {
+    sparse[rid] = rid % 40 == 0 ? 0 : 1 + static_cast<uint32_t>(rng.Uniform(9));
+    dense[rid] = static_cast<uint32_t>(rng.Uniform(2));
+    // The 40-row probe side: every 2000th row, a member of `sparse`
+    // until the update, and the row 20 past it, a member after.
+    pick[rid] = rid % 2000 == 0 || rid % 2000 == 20 ? 0 : 1;
+  }
+  Table table("forms");
+  ASSERT_TRUE(table.AddColumn("sparse", sparse).ok());
+  ASSERT_TRUE(table.AddColumn("dense", dense).ok());
+  ASSERT_TRUE(table.AddColumn("pick", std::move(pick)).ok());
+  QueryEngine planned(&table, processor_.get());
+  QueryEngine forced(&table, processor_.get());
+  for (QueryEngine* engine : {&planned, &forced}) {
+    for (const char* column : {"sparse", "dense", "pick"}) {
+      ASSERT_TRUE(engine->BuildIndex(column).ok()) << column;
+    }
+  }
+  PlannerOptions eager = TestPlannerOptions();
+  eager.payback_factor = 0.0;
+  planned.EnableAdaptivePlanner(eager);
+  eager.force_route = Route::kPartitionProbe;
+  forced.EnableAdaptivePlanner(eager);
+
+  const auto on_sparse = And(Equals("pick", 0), Equals("sparse", 0));
+  const auto on_dense = And(Equals("pick", 0), Equals("dense", 1));
+  const size_t probe_route = static_cast<size_t>(Route::kPartitionProbe);
+  for (int phase = 0; phase < 2; ++phase) {
+    SCOPED_TRACE(phase == 0 ? "as built" : "after the update");
+    // The form each AND's larger operand takes.
+    const PartitionIndex sparse_index =
+        PartitionIndex::Build(test::ScanSelect(table, *Equals("sparse", 0)));
+    EXPECT_EQ(sparse_index.num_partitions(),
+              (kRows / 40 + PartitionIndex::kPartitionWidth - 1) /
+                  PartitionIndex::kPartitionWidth);
+    EXPECT_GT(sparse_index.directory_size(), 1u);
+    const PartitionIndex dense_index =
+        PartitionIndex::Build(test::ScanSelect(table, *Equals("dense", 1)));
+    EXPECT_EQ(dense_index.num_partitions(), 0u);
+    EXPECT_EQ(dense_index.directory_size(), 0u);
+
+    for (const Predicate* predicate : {on_sparse.get(), on_dense.get()}) {
+      const std::vector<Rid> scan = test::ScanSelect(table, *predicate);
+      ASSERT_FALSE(scan.empty()) << predicate->ToString();
+      for (QueryEngine* engine : {&planned, &forced}) {
+        QueryStats stats;
+        auto rids = engine->Select(*predicate, &stats);
+        ASSERT_TRUE(rids.ok()) << rids.status();
+        EXPECT_EQ(*rids, scan) << predicate->ToString();
+        EXPECT_EQ(stats.planned_ops, 1u);
+        EXPECT_EQ(stats.route_counts[probe_route], 1u)
+            << predicate->ToString();
+      }
+    }
+    // The planner built and cached one index per column; the forced
+    // route builds a transient one per query.
+    EXPECT_EQ(planned.partition_state("sparse").indexed_entries,
+              sparse_index.size());
+    EXPECT_EQ(planned.partition_state("dense").indexed_entries,
+              dense_index.size());
+    EXPECT_EQ(forced.partition_state("sparse").indexes_built, 0u);
+
+    // `sparse` moves its members 20 rows on, `dense` is drawn again.
+    for (Rid rid = 0; rid < kRows; ++rid) {
+      sparse[rid] =
+          rid % 40 == 20 ? 0 : 1 + static_cast<uint32_t>(rng.Uniform(9));
+      dense[rid] = static_cast<uint32_t>(rng.Uniform(2));
+    }
+    ASSERT_TRUE(table.UpdateColumn("sparse", sparse).ok());
+    ASSERT_TRUE(table.UpdateColumn("dense", dense).ok());
+    for (QueryEngine* engine : {&planned, &forced}) {
+      ASSERT_TRUE(engine->BuildIndex("sparse").ok());
+      ASSERT_TRUE(engine->BuildIndex("dense").ok());
     }
   }
 }

@@ -55,6 +55,7 @@
 #include "obs/trace_writer.h"
 #include "prefetch/streaming.h"
 #include "query/engine.h"
+#include "query/partition_index.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/table.h"
@@ -956,6 +957,15 @@ int RunPlan(const CliOptions& options, ProcessorKind kind,
           .count() /
       kDecisionReps;
 
+  // The form the partition route's index takes over the larger input.
+  const query::PartitionIndex index = query::PartitionIndex::Build(
+      pair->a.size() > pair->b.size() ? pair->a : pair->b);
+  const std::string index_form =
+      index.bitmap_span() != 0
+          ? "  (bitmap over span " + std::to_string(index.bitmap_span()) + ")"
+          : "  (directory of " + std::to_string(index.num_partitions()) +
+                " partitions)";
+
   std::printf("== plan: |A|=%u, |B|=%u, selectivity=%.2f, |A*B|=%zu ==\n",
               size_a, size_b, options.selectivity, expected.size());
   std::printf("%-16s %14s %14s\n", "route", "estimated_ns", "measured_ns");
@@ -976,10 +986,12 @@ int RunPlan(const CliOptions& options, ProcessorKind kind,
       if (route == query::Route::kEisMerge) break;
     }
     const bool chosen = route == decision.route;
-    std::printf("%-16s %14.0f %14.0f%s%s%s\n",
+    std::printf("%-16s %14.0f %14.0f%s%s%s%s\n",
                 std::string(query::RouteName(route)).c_str(),
                 decision.estimated_ns[r], measured_ns,
                 route == query::Route::kEisMerge ? " (simulated)" : "",
+                route == query::Route::kPartitionProbe ? index_form.c_str()
+                                                       : "",
                 chosen ? "  <- chosen" : "",
                 chosen && decision.forced ? " (forced)" : "");
   }

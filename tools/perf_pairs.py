@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the repository benchmark.
 
     python3 tools/perf_pairs.py --parent ../parent --change . \\
-        --workload board_bulk --seeds 2001-2010 [--seconds 20]
+        --workload board_bulk --seeds 2001-2010 [--seconds 20] [--trace]
 
 Runs `perfbench/run.py --workload W --seed S --seconds T` from two
 checkouts, one pair per seed; the side that runs first alternates from
@@ -35,6 +35,12 @@ than the parent's quartile spread.
 Every end-to-end metric on the modeled clock (the report's `clock`) is
 deterministic per seed, so it is also compared pair by pair: the last
 lines say "identical on all N seeds" or name the seeds that differ.
+
+With --trace the pairs are traced runs (`run.py --trace 1`), and the
+figures are the per-layer metrics of the workload (those whose
+perfbench/catalog.json entry names it; a traced report also carries the
+layers it bypasses, at 0): medians, quartiles and win counts only, since
+per-layer metrics have no bounds.
 """
 
 import argparse
@@ -63,17 +69,18 @@ def target_dir(checkout):
     return os.path.join(checkout, ".bench_build")
 
 
-def run_side(checkout, workload, seed, seconds):
+def run_side(checkout, workload, seed, seconds, trace):
     """One benchmark run; returns {metric: value}, info and failed."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir(checkout))
     command = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds)]
+               "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(command, cwd=checkout, env=env,
                           stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         sys.exit(f"perf_pairs: {checkout}: run.py exited {proc.returncode}")
-    report_path = os.path.join(checkout, "perfbench", "out", workload + ".json")
+    report_path = os.path.join(checkout, "perfbench", "out",
+                               workload + (".trace" if trace else "") + ".json")
     with open(report_path) as f:
         report = json.load(f)
     return {
@@ -97,6 +104,17 @@ def probe_address(checkout):
         if "HostSpeedProbe::Run" in line:
             return "0x" + line.split()[0].lstrip("0")
     return "not found"
+
+
+def compared_metrics(checkout, workload, trace, reported):
+    """The reported metrics to compare: all of an untraced report, the
+    per-layer metrics the workload drives of a traced one."""
+    if not trace:
+        return list(reported)
+    with open(os.path.join(checkout, "perfbench", "catalog.json")) as f:
+        per_layer = json.load(f)["per_layer"]
+    return [m["name"] for m in per_layer
+            if workload in m["workloads"] and m["name"] in reported]
 
 
 def quartiles(values):
@@ -154,29 +172,37 @@ def main():
     parser.add_argument("--seeds", required=True,
                         help="comma-separated seeds or ranges, e.g. 1-10")
     parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs: compare the per-layer metrics")
     parser.add_argument("--json", help="write every run's figures here")
     args = parser.parse_args()
 
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     runs = {"parent": [], "change": []}
+    names = None
     for index, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_side(sides[side], args.workload, seed, args.seconds)
+            run = run_side(sides[side], args.workload, seed, args.seconds,
+                           args.trace)
             run["seed"] = seed
             runs[side].append(run)
         p, c = runs["parent"][-1]["metrics"], runs["change"][-1]["metrics"]
+        if names is None:
+            names = compared_metrics(sides["change"], args.workload,
+                                     args.trace, p)
         print(f"pair {index + 1} seed {seed} ({order[0]} first): " +
               ", ".join(f"{name} {p[name]:.6g} -> {c[name]:.6g}"
-                        for name in p), flush=True)
+                        for name in names), flush=True)
 
     pairs = len(runs["parent"])
-    print(f"\n== {args.workload}: {pairs} pairs, {args.seconds:g} s runs ==")
-    print(f"{'metric':24s} {'side':7s} {'median':>14s} {'q1':>14s} "
+    print(f"\n== {args.workload}: {pairs} pairs, {args.seconds:g} s "
+          f"{'traced ' if args.trace else ''}runs ==")
+    print(f"{'metric':34s} {'side':7s} {'median':>14s} {'q1':>14s} "
           f"{'q3':>14s}  change wins")
     first = runs["parent"][0]
-    rows = [(name, first["better"][name], "metrics") for name in first["metrics"]]
+    rows = [(name, first["better"][name], "metrics") for name in names]
     rows += [(name, better, "info") for name, better in INFO_FIELDS
              if name in first["info"]]
     for name, better, kind in rows:
@@ -189,13 +215,16 @@ def main():
             if side == "change":
                 tail = (f"  {won}/{pairs} ({better} is better)"
                         if won is not None else "  (no direction)")
-            print(f"{name:24s} {side:7s} {median:14.6f} {q1:14.6f} "
+            print(f"{name:34s} {side:7s} {median:14.6f} {q1:14.6f} "
                   f"{q3:14.6f}{tail}")
     for side in ("parent", "change"):
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])
         print(f"{side}: failed {failed} of {attempted} attempted; "
               f"HostSpeedProbe::Run at {probe_address(sides[side])}")
+    if args.trace:
+        write_json(args, sides, runs)
+        return
 
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
@@ -221,10 +250,15 @@ def main():
         print(f"{name}: " + (f"differs on seeds {', '.join(differ)}"
                              if differ else
                              f"identical on all {pairs} seeds"))
+    write_json(args, sides, runs)
+
+
+def write_json(args, sides, runs):
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seconds": args.seconds,
-                       "checkouts": sides, "runs": runs}, f, indent=2)
+                       "trace": args.trace, "checkouts": sides, "runs": runs},
+                      f, indent=2)
             f.write("\n")
 
 
